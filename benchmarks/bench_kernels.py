@@ -10,8 +10,8 @@ Run as a script for the level-batched before/after comparison::
     PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_kernels.json
 
 which times each kernel the record-at-a-time way (one Python call per
-leaf, dense cumulative matrices, set-based probes, double boolean-index
-partitions) against the batched path in :mod:`repro.sprint.kernels`
+leaf, set-based probes, double boolean-index partitions) against the
+batched path in :mod:`repro.sprint.kernels`
 across leaf counts and dataset sizes, and writes a ``bench_kernels/1``
 JSON document.  ``--validate FILE`` checks such a document's schema
 (used by the CI smoke job).
@@ -31,11 +31,9 @@ from repro.classify.predict import predict
 from repro.core.builder import build_classifier
 from repro.data.schema import Attribute, AttributeKind
 from repro.sprint.attribute_list import build_attribute_list
-from repro.sprint.gini import (
-    best_categorical_split,
-    best_continuous_split,
-    best_continuous_split_dense,
-)
+from repro.smp.cpus import available_cpus
+from repro.sprint import native
+from repro.sprint.gini import best_categorical_split, best_continuous_split
 from repro.sprint.kernels import (
     concat_field,
     partition_stable,
@@ -169,9 +167,9 @@ def _make_level(rng, records, leaves, profile):
 def bench_continuous(rng, records, leaves, repeats, profile):
     payloads = _make_level(rng, records, leaves, profile)
 
-    def before():
+    def before():  # one Python call per leaf
         return [
-            best_continuous_split_dense(p["value"], p["cls"], N_CLASSES)
+            best_continuous_split(p["value"], p["cls"], N_CLASSES)
             for p in payloads
         ]
 
@@ -293,6 +291,8 @@ def run_benchmarks(records_list, leaves_list, repeats, seed):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "available_cpus": available_cpus(),
+            "native_kernels": native.active_kernels() is not None,
         },
         "results": results,
     }

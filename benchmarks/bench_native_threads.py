@@ -1,19 +1,19 @@
 """In-kernel thread-scaling benchmark for the native worker pool.
 
-Four kernel families go through ``repro_parallel_for`` — the segmented
-continuous gini scan, the stable counted partition, single-tree routing
-and the fused forest walker — and each is timed across a pool-lane
-sweep (default ``1, 2, 4``) and a row sweep.  Every cell is checked
-*bit-identical* against the numpy reference before its time counts:
-the pool's contract is that lane count changes wall-clock and nothing
-else, so a benchmark cell that diverged would be measuring a different
+Two kernel families go through ``repro_parallel_for`` — single-tree
+routing and the fused forest walker (the training kernels are
+single-threaded) — and each is timed across a pool-lane sweep (default
+``1, 2, 4``) and a row sweep.  Every cell is checked *bit-identical*
+against the numpy reference before its time counts: the pool's
+contract is that lane count changes wall-clock and nothing else, so a
+benchmark cell that diverged would be measuring a different
 computation.
 
-Speedups are relative to the same kernel at one lane.  On a single-core
-container (CI, this repo's dev box) thread scaling is physically
-impossible, so scaling numbers are *report-only* there: the summary
-records ``multicore_host`` and the validation gates on speedup apply
-only when it is true.  Bit-identity gates apply everywhere, always.
+Speedups are relative to the same kernel at one lane.  A speedup floor
+for ``L`` lanes is checked only when the host has at least ``L`` usable
+CPUs (``summary.available_cpus``); past that, lanes time-share cores
+and scaling is report-only.  Bit-identity gates apply everywhere,
+always.
 
 Usage::
 
@@ -34,33 +34,30 @@ import time
 import numpy as np
 
 from repro._native import cc, pool
+from repro.classify import native as cnative
 from repro.classify.compiled import compiled_for
 from repro.classify.forest import compile_forest
 from repro.classify.treegen import random_columns, random_schema, random_tree
 from repro.smp.cpus import available_cpus
-from repro.sprint import kernels as K
-from repro.sprint import native
-from repro.sprint.records import CONTINUOUS_RECORD
 
 SCHEMA = "bench_native_threads/1"
-KNOWN_KERNELS = ("E.scan", "S.partition", "route.predict", "route.forest")
-N_CLASSES = 3
+KNOWN_KERNELS = ("route.predict", "route.forest")
 FOREST_TREES = 32
 TREE_DEPTH = 12
 
 MIN_TIMING_SECONDS = 0.02
 MAX_REPEATS = 200
 
-#: Speedup floor per kernel at the deepest lane count — enforced only
-#: on multi-core hosts.  The scan and the fused forest walker are
-#: compute-bound and must scale ~linearly to 2x at 4 lanes; the
-#: partition and single-tree router move more bytes per flop, so the
-#: gate only demands that lanes never make them slower.
+#: Speedup floor per (kernel, lanes), enforced only where ``lanes`` <=
+#: the host's usable CPUs.  The fused forest walker is compute-bound
+#: and must reach 2x at 4 lanes; its 2-lane floor is the same 50%
+#: parallel efficiency.  The single-tree router moves more bytes per
+#: flop, so the gate only demands that lanes never make it slower.
 SPEEDUP_FLOORS = {
-    "E.scan": 2.0,
-    "route.forest": 2.0,
-    "S.partition": 1.0,
-    "route.predict": 1.0,
+    ("route.forest", 2): 1.0,
+    ("route.forest", 4): 2.0,
+    ("route.predict", 2): 1.0,
+    ("route.predict", 4): 1.0,
 }
 
 
@@ -83,37 +80,6 @@ def _best_of(fn, repeats):
 # Each workload returns ``(run, reference)``: ``run()`` executes the
 # kernel under whatever gate/lane context the sweep installed and
 # returns a comparable result; ``reference`` is the numpy answer.
-
-
-def _scan_workload(rows, rng):
-    values = np.sort(rng.random(rows))
-    classes = rng.integers(0, N_CLASSES, rows).astype(np.int32)
-    offsets = np.array([0, rows], dtype=np.int64)
-
-    def run():
-        return K.segmented_continuous_splits(
-            values, classes, offsets, N_CLASSES
-        )
-
-    with cc.native_override("off"):
-        return run, run()
-
-
-def _partition_workload(rows, rng):
-    rec = np.zeros(rows, dtype=CONTINUOUS_RECORD)
-    rec["value"] = rng.random(rows)
-    rec["cls"] = rng.integers(0, N_CLASSES, rows)
-    rec["tid"] = rng.permutation(rows)
-    mask = rng.random(rows) < 0.5
-
-    def run():
-        left, right = K.partition_stable(rec, mask)
-        # The arena-free path returns views of one buffer; copy so the
-        # comparison sticks after the next call reuses nothing.
-        return left.copy(), right.copy()
-
-    with cc.native_override("off"):
-        return run, run()
 
 
 def _predict_workload(rows, rng):
@@ -146,18 +112,12 @@ def _forest_workload(rows, rng):
 
 
 WORKLOADS = {
-    "E.scan": _scan_workload,
-    "S.partition": _partition_workload,
     "route.predict": _predict_workload,
     "route.forest": _forest_workload,
 }
 
 
 def _results_equal(got, ref):
-    if isinstance(got, tuple):
-        return len(got) == len(ref) and all(
-            _results_equal(g, r) for g, r in zip(got, ref)
-        )
     return bool(np.array_equal(np.asarray(got), np.asarray(ref)))
 
 
@@ -192,23 +152,19 @@ def run_benchmarks(rows_list, threads_list, repeats, seed):
 
 
 def summarize(entries, all_identical, threads_list):
-    deepest = max(threads_list)
-    speedup_at_deepest = {}
-    for kernel in KNOWN_KERNELS:
-        values = [
-            e["speedup_vs_1"]
-            for e in entries
-            if e["kernel"] == kernel and e["threads"] == deepest
-        ]
-        if values:
-            speedup_at_deepest[kernel] = min(values)
+    """Worst speedup per kernel and lane count, keyed ``"<lanes>"``."""
+    min_speedup = {}
+    for e in entries:
+        if e["threads"] == threads_list[0]:
+            continue
+        lanes = min_speedup.setdefault(e["kernel"], {})
+        key = str(e["threads"])
+        lanes[key] = min(lanes.get(key, float("inf")), e["speedup_vs_1"])
     return {
-        "native_available": native.native_available(),
+        "native_available": cnative.native_available(),
         "pool_available": pool.load() is not None,
-        "pool_threads_default": available_cpus(),
-        "multicore_host": (os.cpu_count() or 1) >= 2,
-        "deepest_threads": deepest,
-        "speedup_at_deepest": speedup_at_deepest,
+        "available_cpus": available_cpus(),
+        "min_speedup": min_speedup,
         "all_bit_identical": all_identical,
     }
 
@@ -276,18 +232,20 @@ def validate_bench_doc(doc):
     summary = doc["summary"]
     if summary.get("all_bit_identical") is not True:
         raise ValueError("summary.all_bit_identical must be true")
-    if summary.get("pool_available") and summary.get("multicore_host"):
-        deepest = summary.get("deepest_threads")
-        for kernel, floor in SPEEDUP_FLOORS.items():
-            got = summary.get("speedup_at_deepest", {}).get(kernel)
-            if got is None:
-                continue
-            if not got >= floor:
-                raise ValueError(
-                    f"summary.speedup_at_deepest[{kernel!r}] must be >= "
-                    f"{floor} at {deepest} lanes on a multi-core host, "
-                    f"got {got:.2f}"
-                )
+    if not summary.get("pool_available"):
+        return
+    cpus = summary.get("available_cpus")
+    if not isinstance(cpus, int) or cpus < 1:
+        raise ValueError("summary.available_cpus must be a positive int")
+    for (kernel, lanes), floor in SPEEDUP_FLOORS.items():
+        got = summary.get("min_speedup", {}).get(kernel, {}).get(str(lanes))
+        if got is None or lanes > cpus:
+            continue
+        if not got >= floor:
+            raise ValueError(
+                f"summary.min_speedup[{kernel!r}][{lanes}] must be >= "
+                f"{floor} with {cpus} usable CPUs, got {got:.2f}"
+            )
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -303,11 +261,13 @@ def _print_report(doc):
               f"{e['seconds'] * 1e3:>13.3f} {e['speedup_vs_1']:>7.2f}x "
               f"{'yes' if e['bit_identical'] else 'NO':>9}")
     summary = doc["summary"]
-    tag = "" if summary["multicore_host"] else \
-        " (single-core host, report-only)"
-    for kernel, speedup in sorted(summary["speedup_at_deepest"].items()):
-        print(f"{kernel}: {speedup:.2f}x at "
-              f"{summary['deepest_threads']} lanes{tag}")
+    cpus = summary["available_cpus"]
+    for kernel, by_lanes in sorted(summary["min_speedup"].items()):
+        for lanes in sorted(by_lanes, key=int):
+            speedup = by_lanes[lanes]
+            tag = "" if int(lanes) <= cpus else \
+                f" (> {cpus} usable CPUs, report-only)"
+            print(f"{kernel}: {speedup:.2f}x at {lanes} lanes{tag}")
     print(f"all cells bit-identical: {summary['all_bit_identical']}")
 
 
@@ -333,7 +293,7 @@ def main(argv=None):
         print(f"{args.validate}: valid {SCHEMA} document")
         return 0
 
-    if not native.native_available():
+    if not cnative.native_available():
         print("native kernels unavailable (no C compiler?); nothing to "
               "benchmark", file=sys.stderr)
         return 1

@@ -158,9 +158,10 @@ PLANS = {
                 "path": ("results",),
                 "key": ("kernel", "rows", "threads"),
                 "metrics": (
-                    # Identity is the pool's contract and holds on any
-                    # host; the lane-scaling ratio is banded only where
-                    # lanes can actually run in parallel.
+                    # Rows are the two pool-served families, single-tree
+                    # route and fused forest vote.  Identity is the
+                    # pool's contract and holds on any host; the
+                    # lane-scaling ratio is banded like any ratio.
                     ("bit_identical", "bool"),
                     ("speedup_vs_1", "higher"),
                 ),

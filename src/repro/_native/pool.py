@@ -4,19 +4,21 @@ The paper's whole argument is shared-memory parallelism, yet a C kernel
 called through ctypes runs on one core no matter how many Python
 threads surround it — the GIL is released, but the *work* is serial.
 This module embeds the parallelism inside the compiled code: one
-pthreads pool per process, shared by every kernel family, driving a
-``repro_parallel_for`` primitive with static blocking.
+pthreads pool per process, driving a ``repro_parallel_for`` primitive
+with static blocking.  It serves the inference kernels (single-tree
+routing and the fused forest vote); the training kernels are
+single-threaded.
 
 Design notes
 ------------
 
-* **One pool, many ``.so``s.**  The pool lives in its own shared object
+* **Its own ``.so``.**  The pool lives in its own shared object
   compiled with ``-pthread`` and loaded with ``RTLD_GLOBAL`` so its
   symbols (``repro_parallel_for`` & co.) are visible to every kernel
   library loaded afterwards.  The kernel sources just declare the
   externs; the dynamic linker binds them at ``dlopen`` time.  If the
-  pool fails to build or load, the kernel modules fall back to their
-  single-threaded sources — native stays available, just serial.
+  pool fails to build or load, the inference module falls back to its
+  single-threaded source — native stays available, just serial.
 
 * **Lazy spawn, persistent helpers.**  No thread is created until the
   first parallel region actually fans out (``blocks >= 2``).  Helpers

@@ -62,9 +62,10 @@ def _add_native_flag(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--native-threads", type=int, default=0, metavar="N",
-        help="in-kernel worker-pool threads for the native kernels "
-             "(0 = follow REPRO_NATIVE_THREADS, then all available "
-             "CPUs; 1 = serial kernels)",
+        help="in-kernel worker-pool threads for the native inference "
+             "kernels, tree routing and forest voting (0 = follow "
+             "REPRO_NATIVE_THREADS, then all available CPUs; 1 = serial); "
+             "training kernels are single-threaded",
     )
 
 

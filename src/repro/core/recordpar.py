@@ -11,14 +11,19 @@ the SMP runtime so the claim can be measured
 Per leaf, per level:
 
 1. every processor scans its chunk of every attribute, building partial
-   class histograms (continuous) or partial count matrices (categorical)
-   — the *replicated data structures*;
-2. a barrier, then each processor derives its prefix counts from the
-   published partials and evaluates its chunk's candidate splits
-   (:func:`~repro.sprint.gini.best_continuous_split_chunk`);
-3. a barrier, then the master reduces per-chunk bests (earliest global
-   boundary wins ties, so the tree is bit-identical to serial SPRINT's),
-   merges the categorical matrices and runs the subset search;
+   run histograms (continuous, :func:`~repro.sprint.runs.run_histogram`)
+   or partial count matrices (categorical) — the *replicated data
+   structures*;
+2. a barrier, then each processor is charged for evaluating its
+   chunk's candidate split points — the evaluation cost of parallel
+   SPRINT, which the virtual-time model keeps;
+3. a barrier, then the master merges each continuous attribute's
+   partial histograms by exact addition (a run of equal values cut by
+   a chunk boundary sums back into one run) and evaluates the merged
+   histogram once (:func:`~repro.sprint.runs.evaluate_runs`), so the
+   candidate — ties included — is the one serial SPRINT finds; it
+   merges the categorical matrices, runs the subset search and picks
+   the winner;
 4. a barrier, then all processors mark their chunk of the winning
    attribute in the shared probe and publish partial left-histograms;
 5. a barrier, the master creates the children;
@@ -43,9 +48,13 @@ from repro.core.tree import DecisionTree
 from repro.sprint.gini import (
     SplitCandidate,
     best_categorical_split_from_counts,
-    best_continuous_split_chunk,
 )
 from repro.sprint.kernels import partition_stable
+from repro.sprint.runs import (
+    evaluate_runs,
+    merge_value_histograms,
+    run_histogram,
+)
 from repro.sprint.splitter import winner_left_mask
 
 
@@ -61,14 +70,8 @@ class _LeafShared:
     """Published per-chunk partials for one leaf (the replicated state)."""
 
     def __init__(self, n_procs: int, n_attrs: int) -> None:
-        #: [pid][attr] -> class-count vector (continuous) or count matrix.
-        self.partials: List[List[Optional[np.ndarray]]] = [
-            [None] * n_attrs for _ in range(n_procs)
-        ]
-        #: [pid][attr] -> chunk-best tuple from best_continuous_split_chunk.
-        self.chunk_bests: List[List[Optional[tuple]]] = [
-            [None] * n_attrs for _ in range(n_procs)
-        ]
+        #: [pid][attr] -> run histogram (continuous) or count matrix.
+        self.partials: List[list] = [[None] * n_attrs for _ in range(n_procs)]
         #: [pid] -> partial left-child class counts after probe marking.
         self.left_partials: List[Optional[np.ndarray]] = [None] * n_procs
         #: Per-attribute ordered-append cursor for the split phase.
@@ -199,23 +202,22 @@ class RecordParScheme:
         seg_key = ctx.segment_key(attr_index, task.node.node_id)
         records = ctx.backend.read(seg_key)
         lo, hi = chunk_bounds(len(records), pid, self.n_procs)
-        # +1 record of lookahead so chunk-boundary candidates can be
-        # evaluated by the earlier chunk's owner.
-        chunk = records[lo : min(hi + 1, len(records))]
-        nbytes = chunk.nbytes
-        ctx.runtime.read_file(seg_key, nbytes)  # each proc seeks separately
-        cache[key] = (chunk, lo, hi)
-        return cache[key]
+        chunk = records[lo:hi]
+        # Each processor seeks to its own chunk separately.
+        ctx.runtime.read_file(seg_key, chunk.nbytes)
+        cache[key] = chunk
+        return chunk
 
     def _phase_scan(self, pid: int, task: LeafTask, shared: _LeafShared) -> None:
         """Phase 1: partial histograms / count matrices per attribute."""
         ctx = self.ctx
         machine = ctx.machine
         for attr_index, attr in enumerate(ctx.schema.attributes):
-            chunk, lo, hi = self._read_chunk(pid, task, attr_index)
-            own = chunk[: hi - lo]
+            own = self._read_chunk(pid, task, attr_index)
             if attr.is_continuous:
-                partial = np.bincount(own["cls"], minlength=ctx.n_classes)
+                partial = run_histogram(
+                    own["value"], own["cls"], ctx.n_classes
+                )
             else:
                 partial = np.zeros(
                     (attr.cardinality, ctx.n_classes), dtype=np.int64
@@ -231,31 +233,19 @@ class RecordParScheme:
     def _phase_evaluate(
         self, pid: int, task: LeafTask, shared: _LeafShared
     ) -> None:
-        """Phase 2: evaluate this chunk's candidates per continuous attr."""
+        """Phase 2: charge this chunk's candidate evaluation.
+
+        Parallel SPRINT (paper §3.1) evaluates every chunk's candidates
+        on its own processor; the cost model charges that per chunk.
+        The arithmetic itself runs once, on the merged histogram, in
+        the master's reduce.
+        """
         ctx = self.ctx
         machine = ctx.machine
-        totals = task.node.class_counts
-        n_total = task.n_records
         for attr_index, attr in enumerate(ctx.schema.attributes):
-            if not attr.is_continuous:
-                continue
-            chunk, lo, hi = self._chunks[pid][(task.node.node_id, attr_index)]
-            own = chunk[: hi - lo]
-            prefix = np.zeros(ctx.n_classes, dtype=np.int64)
-            for p in range(pid):
-                prefix += shared.partials[p][attr_index]
-            next_value = (
-                float(chunk["value"][hi - lo]) if len(chunk) > hi - lo else None
-            )
-            ctx.runtime.compute(machine.cpu_eval_record * len(own))
-            shared.chunk_bests[pid][attr_index] = best_continuous_split_chunk(
-                own["value"],
-                own["cls"],
-                next_value,
-                prefix,
-                totals,
-                n_total,
-            )
+            if attr.is_continuous:
+                own = self._chunks[pid][(task.node.node_id, attr_index)]
+                ctx.runtime.compute(machine.cpu_eval_record * len(own))
 
     def _phase_reduce(self, task: LeafTask, shared: _LeafShared) -> None:
         """Phase 3 (master): global candidates, winner selection."""
@@ -263,34 +253,18 @@ class RecordParScheme:
         machine = ctx.machine
         n_total = task.n_records
         for attr_index, attr in enumerate(ctx.schema.attributes):
+            partials = [
+                shared.partials[p][attr_index] for p in range(self.n_procs)
+            ]
             if attr.is_continuous:
-                best = None
-                for p in range(self.n_procs):
-                    entry = shared.chunk_bests[p][attr_index]
-                    if entry is None:
-                        continue
-                    if best is None or (entry[0], entry[1]) < (best[0], best[1]):
-                        best = entry
-                if best is None:
-                    cand = None
-                else:
-                    gini_value, _boundary, threshold, n_left = best
-                    cand = SplitCandidate(
-                        weighted_gini=gini_value,
-                        threshold=threshold,
-                        subset=None,
-                        n_left=n_left,
-                        n_right=n_total - n_left,
-                        work_points=n_total,
-                    )
+                merged = merge_value_histograms(partials, ctx.n_classes)
+                cand = evaluate_runs(merged, ctx.params.criterion)[0]
             else:
-                merged = np.sum(
-                    [shared.partials[p][attr_index] for p in range(self.n_procs)],
-                    axis=0,
-                )
+                merged = np.sum(partials, axis=0)
                 cand = best_categorical_split_from_counts(
                     merged, n_total,
                     max_exhaustive=ctx.params.max_exhaustive_subset,
+                    criterion=ctx.params.criterion,
                 )
                 subsets = cand.work_points if cand is not None else 1
                 ctx.runtime.compute(machine.cpu_subset_eval * subsets)
@@ -308,8 +282,7 @@ class RecordParScheme:
         """Phase 4: chunked probe marking for the winning attribute."""
         ctx = self.ctx
         attr_index, cand = shared.winner
-        chunk, lo, hi = self._chunks[pid][(task.node.node_id, attr_index)]
-        own = chunk[: hi - lo]
+        own = self._chunks[pid][(task.node.node_id, attr_index)]
         mask = winner_left_mask(own, cand)
         probe = ctx.bit_probe
         probe.mark_left(own["tid"][mask])
@@ -326,8 +299,7 @@ class RecordParScheme:
         node = task.node
         machine = ctx.machine
         for attr_index in range(ctx.n_attrs):
-            chunk, lo, hi = self._chunks[pid][(node.node_id, attr_index)]
-            own = chunk[: hi - lo]
+            own = self._chunks[pid][(node.node_id, attr_index)]
             if node.is_leaf:
                 parts = None
             else:

@@ -49,6 +49,7 @@ from repro.shard.pool import ShardPool, get_pool
 from repro.shard.protocol import ShardWorkerError
 from repro.smp.cpus import available_cpus
 from repro.smp.machine import MachineConfig, machine_b
+from repro.sprint import runs
 from repro.sprint.records import make_records
 from repro.storage.temp import create_spill_dir, release_spill_dir
 
@@ -144,12 +145,8 @@ def _merged_candidate(
     """Merge one attribute's shard statistics and evaluate the result."""
     attr = schema.attributes[attr_index]
     if attr.is_continuous:
-        hist = shard_stats.merge_value_histograms(
-            [p[1] for p in payloads], n_classes
-        )
-        return shard_stats.continuous_split_from_histogram(
-            hist, criterion=params.criterion
-        )
+        hist = runs.merge_value_histograms([p[1] for p in payloads], n_classes)
+        return runs.evaluate_runs(hist, criterion=params.criterion)[0]
     counts = payloads[0][1].copy()
     for payload in payloads[1:]:
         counts += payload[1]

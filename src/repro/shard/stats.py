@@ -2,17 +2,15 @@
 
 The coordinator never sees records — only *statistics*:
 
-* continuous attributes: a run-compressed **value histogram** (distinct
-  values ascending + per-class ``int64`` counts).  Merging shard
-  histograms and evaluating the merged histogram reproduces the global
-  sorted scan **bit-identically**: the merged per-run counts are the
-  same integers the dense scan cumulates, and
-  :func:`continuous_split_from_histogram` mirrors
-  :func:`repro.sprint.gini.best_continuous_split_dense`'s float
-  arithmetic operation for operation (int64 cumulative counts, one
-  float64 square-sum per side, the same multiply/divide/add shape, ties
-  to the earliest run, midpoint threshold from the two neighboring
-  distinct values).
+* continuous attributes: a run-compressed
+  :class:`~repro.sprint.runs.ValueHistogram` (distinct values ascending
+  plus per-class ``int64`` counts), produced per shard by
+  :func:`~repro.sprint.runs.run_histogram`.  Shard histograms merge by
+  exact integer addition (:func:`~repro.sprint.runs
+  .merge_value_histograms`) into the histogram of the global sorted
+  list, and :func:`~repro.sprint.runs.evaluate_runs` — the same
+  evaluator behind the serial build's numpy path, and the bit-exact
+  reference of its C scan — picks the split.
 * categorical attributes: a ``(cardinality, n_classes)`` count matrix;
   matrices add exactly and the subset search runs on the merged matrix
   through the same :func:`best_categorical_split_from_counts` the
@@ -24,143 +22,14 @@ baseline while shipping O(distinct values) bytes instead of O(records).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.sprint.criteria import get_criterion, weighted_impurity
 from repro.sprint.gini import (
     SplitCandidate,
     best_categorical_split_from_counts,
 )
-
-
-@dataclass
-class ValueHistogram:
-    """Run-compressed class distribution of one sorted attribute segment.
-
-    ``values`` are the distinct attribute values in ascending order;
-    ``counts[r, j]`` is how many records with ``values[r]`` carry class
-    ``j``.  Both arrays may be empty (an empty shard segment).
-    """
-
-    values: np.ndarray  # (runs,) float64, strictly ascending
-    counts: np.ndarray  # (runs, n_classes) int64
-
-    @property
-    def n_records(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def nbytes(self) -> int:
-        return self.values.nbytes + self.counts.nbytes
-
-
-def empty_histogram(n_classes: int) -> ValueHistogram:
-    return ValueHistogram(
-        values=np.empty(0, dtype=np.float64),
-        counts=np.empty((0, n_classes), dtype=np.int64),
-    )
-
-
-def value_histogram(
-    values: np.ndarray, classes: np.ndarray, n_classes: int
-) -> ValueHistogram:
-    """Histogram of one shard's (pre-sorted) segment for one attribute."""
-    n = len(values)
-    if n == 0:
-        return empty_histogram(n_classes)
-    values = np.asarray(values, dtype=np.float64)
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    run_starts = np.flatnonzero(starts)
-    counts = np.empty((len(run_starts), n_classes), dtype=np.int64)
-    classes = np.asarray(classes)
-    for j in range(n_classes):
-        np.add.reduceat(
-            (classes == j).astype(np.int64), run_starts, out=counts[:, j]
-        )
-    return ValueHistogram(values=values[run_starts].copy(), counts=counts)
-
-
-def merge_value_histograms(
-    histograms: Sequence[ValueHistogram], n_classes: int
-) -> ValueHistogram:
-    """Sum shard histograms into one global histogram.
-
-    Values collide exactly (they are the same float64 bit patterns the
-    global list holds), so duplicate runs across shards sum with integer
-    arithmetic — no rounding anywhere.
-    """
-    live: List[ValueHistogram] = [h for h in histograms if len(h.values)]
-    if not live:
-        return empty_histogram(n_classes)
-    if len(live) == 1:
-        return live[0]
-    values = np.concatenate([h.values for h in live])
-    counts = np.concatenate([h.counts for h in live], axis=0)
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    counts = counts[order]
-    starts = np.empty(len(values), dtype=bool)
-    starts[0] = True
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    run_starts = np.flatnonzero(starts)
-    return ValueHistogram(
-        values=values[run_starts],
-        counts=np.add.reduceat(counts, run_starts, axis=0),
-    )
-
-
-def continuous_split_from_histogram(
-    hist: ValueHistogram, criterion: str = "gini"
-) -> Optional[SplitCandidate]:
-    """Best ``value < x`` split of a merged histogram.
-
-    Bit-identical to running
-    :func:`repro.sprint.gini.best_continuous_split_dense` over the full
-    sorted record list: the cumulative counts at run boundaries are the
-    identical int64 matrices, and every float expression below matches
-    the dense scan's spelling (and therefore the fused segmented kernel
-    and the native scan, which both replicate it).
-    """
-    runs = len(hist.values)
-    n = hist.n_records
-    if n < 2 or runs < 2:
-        return None
-    # Cumulative counts at each run end == the dense scan's ``below``
-    # rows at the run-boundary record positions.
-    cum = np.cumsum(hist.counts, axis=0)
-    totals = cum[-1]
-    left = cum[:-1]  # candidate boundaries: after every run but the last
-    right = totals[np.newaxis, :] - left
-    n_left = left.sum(axis=1)
-    n_right = n - n_left
-
-    if criterion == "gini":
-        sq_left = (left.astype(np.float64) ** 2).sum(axis=1)
-        sq_right = (right.astype(np.float64) ** 2).sum(axis=1)
-        weighted = (
-            n_left * (1.0 - sq_left / (n_left.astype(np.float64) ** 2))
-            + n_right * (1.0 - sq_right / (n_right.astype(np.float64) ** 2))
-        ) / n
-    else:
-        weighted = weighted_impurity(left, right, get_criterion(criterion))
-
-    best_pos = int(np.argmin(weighted))  # earliest tie, like the dense scan
-    threshold = (
-        float(hist.values[best_pos]) + float(hist.values[best_pos + 1])
-    ) / 2.0
-    return SplitCandidate(
-        weighted_gini=float(weighted[best_pos]),
-        threshold=threshold,
-        subset=None,
-        n_left=int(n_left[best_pos]),
-        n_right=int(n_right[best_pos]),
-        work_points=n,
-    )
 
 
 def categorical_counts(

@@ -34,6 +34,7 @@ from repro.shard.protocol import Channel
 from repro.shard.shm import SharedArray
 from repro.shard.store import ShardStore
 from repro.sprint import native as sprint_native
+from repro.sprint import runs
 from repro.sprint.kernels import ScratchArena, partition_stable
 from repro.sprint.probe import BitProbe
 from repro.sprint.splitter import winner_left_mask
@@ -92,9 +93,9 @@ def _leaf_attr_stats(state: _WorkerState, node_id: int, attr_index: int):
     n = 0 if records is None else len(records)
     if attr.is_continuous:
         if records is None:
-            hist = shard_stats.empty_histogram(state.n_classes)
+            hist = runs.empty_histogram(state.n_classes)
         else:
-            hist = shard_stats.value_histogram(
+            hist = runs.run_histogram(
                 records["value"], records["cls"], state.n_classes
             )
         out = ("c", hist)
@@ -119,9 +120,7 @@ def _local_candidate(state: _WorkerState, payload: Tuple):
     """Local split candidate from this shard's own statistics."""
     kind, data = payload
     if kind == "c":
-        return shard_stats.continuous_split_from_histogram(
-            data, criterion=state.params.criterion
-        )
+        return runs.evaluate_runs(data, criterion=state.params.criterion)[0]
     return shard_stats.categorical_split_from_counts(
         data, state.params.max_exhaustive_subset, state.params.criterion
     )

@@ -11,6 +11,8 @@ data structures and per-step kernels:
   categorical count matrices, plus scan-based reference split evaluation,
 * :mod:`repro.sprint.gini` — vectorized gini split evaluation for
   continuous and categorical attributes (with greedy subsetting),
+* :mod:`repro.sprint.runs` — run-compressed class histograms, the one
+  input of continuous split search, and their numpy evaluator,
 * :mod:`repro.sprint.kernels` — level-batched segmented kernels: best
   splits for all leaves of a level in one fused pass, plus the
   scratch-arena stable partition used by step S,
@@ -27,7 +29,6 @@ from repro.sprint.gini import (
     SplitCandidate,
     best_categorical_split,
     best_continuous_split,
-    best_continuous_split_dense,
     gini,
 )
 from repro.sprint.histogram import ClassHistogram, CountMatrix
@@ -38,6 +39,7 @@ from repro.sprint.kernels import (
     segmented_continuous_splits,
 )
 from repro.sprint.probe import BitProbe, HashProbe
+from repro.sprint.runs import ValueHistogram, evaluate_runs, run_histogram
 from repro.sprint.splitter import split_records
 
 __all__ = [
@@ -48,12 +50,14 @@ __all__ = [
     "HashProbe",
     "ScratchArena",
     "SplitCandidate",
+    "ValueHistogram",
     "best_categorical_split",
     "best_continuous_split",
-    "best_continuous_split_dense",
     "build_attribute_lists",
+    "evaluate_runs",
     "gini",
     "partition_stable",
+    "run_histogram",
     "segmented_categorical_splits",
     "segmented_continuous_splits",
     "split_records",

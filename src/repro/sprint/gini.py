@@ -5,8 +5,9 @@ SPRINT chooses the split minimizing the weighted gini index
 ``gini(S) = 1 - sum_j p_j^2`` (paper §2.2).
 
 * Continuous attributes: candidate points are mid-points between
-  consecutive distinct values of the pre-sorted list; evaluated with
-  cumulative class counts in O(n) vectorized work.
+  consecutive distinct values of the pre-sorted list; evaluated over
+  the list's run-compressed class histogram
+  (:mod:`repro.sprint.runs`).
 * Categorical attributes: all subsets of the present values are
   considered; above :data:`DEFAULT_MAX_EXHAUSTIVE` present values a
   greedy hill-climbing subsetting is used instead (paper §2.2: "If the
@@ -25,7 +26,7 @@ whichever weighted impurity was minimized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
 
 import numpy as np
 
@@ -91,11 +92,8 @@ def best_continuous_split(
     measure ("gini" — SPRINT's — or "entropy").
 
     This is the single-segment entry into the level-batched kernel in
-    :mod:`repro.sprint.kernels`; its run-compressed counting touches
-    only O(boundaries × classes) memory.  Results are bit-identical to
-    :func:`best_continuous_split_dense`, the pre-batching dense-cumsum
-    implementation kept below as cross-check oracle and benchmark
-    baseline.
+    :mod:`repro.sprint.kernels` (the C scan, or the run-histogram
+    evaluator of :mod:`repro.sprint.runs`).
     """
     # Local import: kernels imports SplitCandidate from this module.
     from repro.sprint.kernels import segmented_continuous_splits
@@ -108,142 +106,6 @@ def best_continuous_split(
         np.asarray(values), np.asarray(classes), offsets, n_classes,
         criterion=criterion,
     )[0]
-
-
-def best_continuous_split_dense(
-    values: np.ndarray,
-    classes: np.ndarray,
-    n_classes: int,
-    criterion: str = "gini",
-) -> Optional[SplitCandidate]:
-    """Dense-cumsum reference for :func:`best_continuous_split`.
-
-    Builds the full ``(n, n_classes)`` cumulative count matrix — the
-    original production path before the segmented kernel.  Kept as an
-    independent oracle for the kernel property tests and as the
-    "before" side of ``benchmarks/bench_kernels.py``.
-    """
-    n = len(values)
-    if n < 2:
-        return None
-    boundaries = np.flatnonzero(values[:-1] != values[1:])
-    if len(boundaries) == 0:
-        return None
-
-    # Cumulative class counts: below[i, j] = count of class j in records
-    # 0..i inclusive (the left side of a split after position i).
-    below = np.empty((n, n_classes), dtype=np.int64)
-    for j in range(n_classes):
-        np.cumsum(classes == j, out=below[:, j])
-    totals = below[-1]
-
-    left = below[boundaries]
-    right = totals[np.newaxis, :] - left
-    n_left = left.sum(axis=1)
-    n_right = n - n_left
-
-    if criterion == "gini":
-        # Weighted gini = (n_L (1 - sum p_L^2) + n_R (1 - sum p_R^2)) / n.
-        sq_left = (left.astype(np.float64) ** 2).sum(axis=1)
-        sq_right = (right.astype(np.float64) ** 2).sum(axis=1)
-        weighted = (
-            n_left * (1.0 - sq_left / (n_left.astype(np.float64) ** 2))
-            + n_right * (1.0 - sq_right / (n_right.astype(np.float64) ** 2))
-        ) / n
-    else:
-        weighted = weighted_impurity(left, right, get_criterion(criterion))
-
-    best_pos = int(np.argmin(weighted))  # argmin takes the earliest tie
-    i = int(boundaries[best_pos])
-    threshold = (float(values[i]) + float(values[i + 1])) / 2.0
-    return SplitCandidate(
-        weighted_gini=float(weighted[best_pos]),
-        threshold=threshold,
-        subset=None,
-        n_left=int(n_left[best_pos]),
-        n_right=int(n_right[best_pos]),
-        work_points=n,
-    )
-
-
-def best_continuous_split_chunk(
-    values: np.ndarray,
-    classes: np.ndarray,
-    next_value: Optional[float],
-    prefix_counts: np.ndarray,
-    total_counts: np.ndarray,
-    n_total: int,
-) -> Optional[Tuple[float, int, float, int]]:
-    """Evaluate one processor's *chunk* of a partitioned attribute list.
-
-    Record data parallelism (SPRINT's distributed-memory scheme, paper
-    §3.1) gives each processor a contiguous range of the sorted list.
-    Candidate split points inside the chunk need the class counts of all
-    *earlier* chunks — ``prefix_counts`` — which the processors exchange
-    in a prefix-sum step before calling this.
-
-    Parameters
-    ----------
-    values, classes:
-        The chunk's records (sorted ascending, as the global list is).
-    next_value:
-        First attribute value of the following chunk, or ``None`` for
-        the last chunk; the boundary between two chunks is evaluated by
-        the earlier chunk's owner.
-    prefix_counts:
-        Class counts of all records before this chunk.
-    total_counts:
-        Class counts of the whole leaf.
-    n_total:
-        Total records at the leaf.
-
-    Returns ``(weighted_gini, global_boundary_index, threshold, n_left)``
-    for the chunk's best candidate, or ``None`` when the chunk offers no
-    candidate.  ``global_boundary_index`` makes the cross-processor
-    reduction deterministic (earliest boundary wins ties), so the
-    record-parallel scheme builds the identical tree.
-    """
-    n = len(values)
-    if n == 0:
-        return None
-    if next_value is None:
-        changes = values[:-1] != values[1:]  # no boundary after the end
-    else:
-        extended = np.append(values, next_value)
-        changes = extended[:n] != extended[1 : n + 1]
-    boundaries = np.flatnonzero(changes)
-    if len(boundaries) == 0:
-        return None
-    n_classes = len(total_counts)
-    below = np.empty((n, n_classes), dtype=np.int64)
-    for j in range(n_classes):
-        np.cumsum(classes == j, out=below[:, j])
-    left = below[boundaries] + prefix_counts[np.newaxis, :]
-    right = total_counts[np.newaxis, :] - left
-    n_left = left.sum(axis=1)
-    n_right = n_total - n_left
-    valid = (n_left > 0) & (n_right > 0)
-    if not np.any(valid):
-        return None
-    sq_left = (left.astype(np.float64) ** 2).sum(axis=1)
-    sq_right = (right.astype(np.float64) ** 2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weighted = (
-            n_left * (1.0 - sq_left / (n_left.astype(np.float64) ** 2))
-            + n_right * (1.0 - sq_right / (n_right.astype(np.float64) ** 2))
-        ) / n_total
-    weighted = np.where(valid, weighted, np.inf)
-    best_pos = int(np.argmin(weighted))
-    i = int(boundaries[best_pos])
-    upper = next_value if i == n - 1 else float(values[i + 1])
-    threshold = (float(values[i]) + float(upper)) / 2.0
-    offset = int(prefix_counts.sum())
-    return (
-        float(weighted[best_pos]),
-        offset + i,
-        threshold,
-        int(n_left[best_pos]),
-    )
 
 
 def best_categorical_split(

@@ -1,18 +1,18 @@
-"""Level-batched vectorized kernels for the E/W/S steps.
+"""Level-batched kernels for the E/W/S steps.
 
 The schemes in :mod:`repro.core` used to run every kernel one leaf ×
 one attribute at a time; at deep levels with hundreds of small leaves
 the Python call overhead and per-call temporaries dominated real
 wall-clock time, not the work the timing model charges.  This module
 batches the numeric work of a whole tree level per attribute into
-single fused array passes:
+single array passes:
 
 * :func:`segmented_continuous_splits` — best ``value < x`` split for
-  *every* leaf of a level in one pass over the concatenated, per-leaf
-  sorted attribute lists.  Class counts are accumulated per *run* of
-  equal values (one ``bincount``) and prefix-summed per segment, so the
-  working set is O(boundaries × classes) instead of the dense
-  ``(n, n_classes)`` cumulative matrix of the record-at-a-time path.
+  *every* leaf of a level from the concatenated, per-leaf sorted
+  attribute lists.  The records become one segmented run histogram
+  (:func:`repro.sprint.runs.run_histogram`) evaluated once by
+  :func:`repro.sprint.runs.evaluate_runs`, so the working set is
+  O(runs × classes).
 * :func:`segmented_categorical_counts` / ``_splits`` — all leaves' count
   matrices from one ``bincount`` over ``(leaf, value, class)`` codes.
 * :func:`partition_stable` + :class:`ScratchArena` — step S's
@@ -21,27 +21,16 @@ single fused array passes:
   below it); a reusable per-processor arena provides the buffer when
   the result does not need to outlive the call.
 
-The float arithmetic replicates :func:`repro.sprint.gini
-.best_continuous_split_dense` operation-for-operation on identical
-integer count matrices, so candidates — including tie-breaks, which
-every scheme's determinism rests on — are bit-identical to the
-per-leaf path.  The scan reference in :mod:`repro.sprint.histogram`
-remains the independent oracle; ``tests/sprint/test_kernels.py``
-cross-checks all three.
-
 When the embedded C training kernels are available and the native gate
 is open (``REPRO_NATIVE`` / the CLI's ``--native``; see
 :mod:`repro._native.cc`), the gini split scan, the categorical count
 tensor and the stable partition run in :mod:`repro.sprint.native`
-instead — same results bit-for-bit, but the loops release the GIL so
-the real-thread runtime overlaps them across cores.  With the
-persistent worker pool loaded (:mod:`repro._native.pool`) and more
-than one lane configured (``REPRO_NATIVE_THREADS`` / the CLI's
-``--native-threads``), those C kernels additionally fan the scan,
-count, and partition out *inside* the call — deterministic block
-decompositions merged in block order keep the results bit-identical
-at any thread count.  The numpy spellings below remain the fallback
-and the differential reference.
+instead — one single-threaded C source per kernel, same results
+bit-for-bit, but the loops release the GIL so the real-thread runtime
+overlaps them across cores.  The numpy spellings here are the fallback
+and the differential reference;
+:func:`repro.sprint.histogram.scan_continuous_split` remains the
+independent record-at-a-time oracle.
 """
 
 from __future__ import annotations
@@ -52,32 +41,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sprint import native as _native
-from repro.sprint.criteria import get_criterion, weighted_impurity
 from repro.sprint.gini import (
     DEFAULT_MAX_EXHAUSTIVE,
     SplitCandidate,
     best_categorical_split_from_counts,
-    best_continuous_split_dense,
 )
+from repro.sprint.runs import evaluate_runs, run_histogram
 
 #: Largest ``leaves × cardinality × n_classes`` product for which the
 #: categorical count tensor is built densely in one bincount; above it
 #: the kernel falls back to per-leaf accumulation (same results).
 DENSE_COUNTS_LIMIT = 1 << 24
-
-#: A *single* segment this small goes through the dense per-leaf scan:
-#: its one cumulative-sum pass beats the segmented machinery's fixed
-#: call overhead.  Above the limit run compression wins on
-#: duplicate-heavy attributes and ties on all-distinct ones.  Both
-#: paths are bit-identical, so this is purely a speed crossover.
-SINGLE_LEAF_DENSE_LIMIT = 1 << 15
-
-#: When segments average this many *runs* (distinct-value groups) or
-#: more, the level is long and incompressible — mostly-distinct values
-#: in large leaves — and the per-segment dense scan is the faster
-#: spelling, so the batched kernel loops it instead.  Duplicate-heavy
-#: attributes compress far below this and stay on the fused path.
-DENSE_RUNS_PER_SEGMENT = 1 << 11
 
 #: Below this many records a plain boolean-index partition beats the
 #: counted two-pass compress into a shared buffer (the count is an
@@ -108,24 +82,6 @@ def concat_field(arrays: Sequence[np.ndarray], field: str) -> np.ndarray:
 # -- step E, continuous: segmented split search -------------------------------
 
 
-def _segment_runs(
-    values: np.ndarray, offsets: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Starts of maximal equal-value runs, respecting segment boundaries.
-
-    Returns ``(run_starts, is_start)``: every segment start begins a run
-    (even when its first value equals the previous segment's last), and
-    every value change within a segment begins one.
-    """
-    n = len(values)
-    is_start = np.zeros(n, dtype=bool)
-    starts = offsets[:-1]
-    is_start[starts[starts < n]] = True
-    if n > 1:
-        np.logical_or(is_start[1:], values[1:] != values[:-1], out=is_start[1:])
-    return np.flatnonzero(is_start), is_start
-
-
 def segmented_continuous_splits(
     values: np.ndarray,
     classes: np.ndarray,
@@ -133,126 +89,26 @@ def segmented_continuous_splits(
     n_classes: int,
     criterion: str = "gini",
 ) -> List[Optional[SplitCandidate]]:
-    """Best continuous split of every segment, in one fused pass.
+    """Best continuous split of every segment of a level.
 
     ``values``/``classes`` hold all leaves of a level concatenated, each
     segment individually sorted ascending; ``offsets[s]:offsets[s+1]``
     delimits segment ``s``.  Returns one candidate (or ``None``) per
-    segment, bit-identical to running
-    :func:`~repro.sprint.gini.best_continuous_split_dense` per segment.
+    segment.  The gini criterion runs the C scan when native kernels
+    are active; otherwise, and for every other criterion, the segments
+    become one run histogram evaluated by
+    :func:`~repro.sprint.runs.evaluate_runs` — bit-identical either way.
     """
     n_segments = len(offsets) - 1
-    n = len(values)
-    if criterion == "gini" and n > 0 and n_segments > 0:
+    if criterion == "gini" and len(values) > 0 and n_segments > 0:
         nat = _native.active_kernels()
         if nat is not None:
-            # All the crossover constants below pick between equally
-            # exact numpy spellings; the C scan replaces every one of
-            # them for the gini criterion, bit-identically.
             return _continuous_splits_native(
                 nat, values, classes, offsets, n_segments, n_classes
             )
-    if n_segments == 1 and 0 < n <= SINGLE_LEAF_DENSE_LIMIT:
-        # The delegated per-leaf spelling: straight to the dense scan
-        # before any other bookkeeping.
-        return [
-            best_continuous_split_dense(
-                values, classes, n_classes, criterion=criterion
-            )
-        ]
-    offsets = np.asarray(offsets, dtype=np.int64)
-    out: List[Optional[SplitCandidate]] = [None] * n_segments
-    if n == 0 or n_segments == 0:
-        return out
-
-    run_starts, _ = _segment_runs(values, offsets)
-    n_runs = len(run_starts)
-    if n_runs // n_segments >= DENSE_RUNS_PER_SEGMENT:
-        # Long, incompressible segments: the dense per-leaf scan is the
-        # faster spelling (bit-identical results either way).
-        for s in range(n_segments):
-            lo, hi = int(offsets[s]), int(offsets[s + 1])
-            out[s] = best_continuous_split_dense(
-                values[lo:hi], classes[lo:hi], n_classes, criterion=criterion
-            )
-        return out
-    run_len = np.empty(n_runs, dtype=np.int64)
-    np.subtract(run_starts[1:], run_starts[:-1], out=run_len[:-1])
-    run_len[-1] = n - run_starts[-1]
-    # Segmented reduction: class counts per run (np.add.reduceat), then
-    # prefix sums over runs — (n_runs, n_classes) working memory, never
-    # the dense (n, n_classes) cumulative matrix.  The last class's
-    # counts follow from the run lengths, saving one O(n) pass — for
-    # binary problems that halves the counting work.
-    cum = np.empty((n_runs, n_classes), dtype=np.int64)
-    acc = np.zeros(n_runs, dtype=np.int64)
-    for j in range(n_classes - 1):
-        counts_j = np.add.reduceat(classes == j, run_starts, dtype=np.int64)
-        acc += counts_j
-        np.cumsum(counts_j, out=cum[:, j])
-    np.cumsum(run_len - acc, out=cum[:, -1])
-
-    # Per-segment run ranges; empty segments get empty ranges.
-    seg_first = np.searchsorted(run_starts, offsets[:-1], side="left")
-    seg_end = np.searchsorted(run_starts, offsets[1:], side="left")
-    runs_per_seg = seg_end - seg_first
-    seg_len = offsets[1:] - offsets[:-1]
-
-    # Per-run left-side counts: global prefix sum minus the segment's
-    # base (the prefix before its first run), expanded run-wise.  The
-    # single-segment case (the delegated per-leaf path) broadcasts
-    # instead of materializing the run-wise expansions — same integers,
-    # same elementwise float ops below.
-    if n_segments == 1:
-        left = cum
-        n_left = left.sum(axis=1)
-        n_seg = seg_len[0]
-        n_right = n_seg - n_left
-        right = left[-1] - left
-    else:
-        base = np.zeros((n_segments, n_classes), dtype=np.int64)
-        prev = seg_first - 1
-        np.copyto(base, cum[np.maximum(prev, 0)], where=(prev >= 0)[:, None])
-        left = cum - np.repeat(base, runs_per_seg, axis=0)
-        n_left = left.sum(axis=1)
-        n_seg = np.repeat(seg_len, runs_per_seg)
-        n_right = n_seg - n_left
-        right = left[seg_end - 1].repeat(runs_per_seg, axis=0) - left
-
-    # Identical elementwise float math to best_continuous_split_dense on
-    # identical integer counts, so the per-segment argmin (earliest tie)
-    # picks the identical boundary.  Each segment's *last* run is not a
-    # candidate (n_right = 0 there; the slice below excludes it), so the
-    # divide warnings its rows would raise are suppressed.
-    if criterion == "gini":
-        sq_left = (left.astype(np.float64) ** 2).sum(axis=1)
-        sq_right = (right.astype(np.float64) ** 2).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weighted = (
-                n_left * (1.0 - sq_left / (n_left.astype(np.float64) ** 2))
-                + n_right * (1.0 - sq_right / (n_right.astype(np.float64) ** 2))
-            ) / n_seg
-    else:
-        weighted = weighted_impurity(left, right, get_criterion(criterion))
-
-    # Runs are ordered, so each segment's candidates are the contiguous
-    # run range [seg_first, seg_end - 1).
-    for s in range(n_segments):
-        lo, hi = int(seg_first[s]), int(seg_end[s]) - 1
-        if hi <= lo:
-            continue
-        r = lo + int(np.argmin(weighted[lo:hi]))
-        boundary = int(run_starts[r + 1])  # first record of the next run
-        threshold = (float(values[boundary - 1]) + float(values[boundary])) / 2.0
-        out[s] = SplitCandidate(
-            weighted_gini=float(weighted[r]),
-            threshold=threshold,
-            subset=None,
-            n_left=int(n_left[r]),
-            n_right=int(seg_len[s] - n_left[r]),
-            work_points=int(seg_len[s]),
-        )
-    return out
+    return evaluate_runs(
+        run_histogram(values, classes, n_classes, offsets), criterion
+    )
 
 
 def _continuous_splits_native(

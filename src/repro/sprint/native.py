@@ -16,10 +16,14 @@ build, ``REPRO_NATIVE=0``, or the CLI's ``--native off``, every caller
 gets ``None`` from :func:`active_kernels` and runs the numpy twin —
 results are bit-identical either way.
 
-Bit-identity is engineered, not hoped for:
+Each kernel has exactly one C source, single-threaded; the in-kernel
+worker pool (:mod:`repro._native.pool`) serves only inference routing
+and forest voting, where it pays.  Bit-identity is engineered, not
+hoped for:
 
-* The split scan replicates :func:`repro.sprint.kernels
-  .segmented_continuous_splits`' float arithmetic operation-for-
+* The split scan walks the same equal-value runs that
+  :func:`repro.sprint.runs.run_histogram` produces, and its float
+  arithmetic is :func:`repro.sprint.runs.evaluate_runs`' operation for
   operation — int64 class counts, one double square per class summed in
   class order (numpy's pairwise summation degenerates to this
   sequential order below 8 classes, and the partial sums are exact
@@ -50,7 +54,6 @@ from typing import Optional
 import numpy as np
 
 from repro._native import cc
-from repro._native import pool
 from repro._native import stats as kernel_stats
 
 C_SOURCE = r"""
@@ -65,10 +68,10 @@ C_SOURCE = r"""
  * scratch holds 2*n_classes int64 (totals, then left counts).
  *
  * out_boundary[s] = index of the first record right of the best split
- * (the numpy path's `run_starts[r + 1]`), or -1 when the segment has no
- * candidate (fewer than two records, or a single run).  The float
- * expression mirrors the numpy kernel exactly; see the module docstring
- * for why the summation order matches too.
+ * (the first record of run r + 1 in the numpy evaluator), or -1 when the
+ * segment has no candidate (fewer than two records, or a single run).
+ * The float expression mirrors the numpy evaluator exactly; see the
+ * module docstring for why the summation order matches too.
  */
 void seg_continuous_best(
     const double *values, const int32_t *classes,
@@ -224,407 +227,6 @@ void sorted_membership(
 }
 """
 
-# Pool-threaded spellings, appended to C_SOURCE only when the worker
-# pool (:mod:`repro._native.pool`) compiled and loaded — the extern
-# pool symbols resolve against the RTLD_GLOBAL pool object at dlopen.
-# Every decomposition below is engineered so the result is *bit
-# identical* to the serial kernel at any thread count:
-#
-# * across segments, blocks own disjoint output slices — nothing to
-#   merge;
-# * within one segment, block boundaries are advanced to the next
-#   equal-value run start, so every block sees whole runs; pass 1
-#   counts classes per block, the caller exclusive-prefixes them into
-#   exact integer "left of this block" bases, pass 2 evaluates the same
-#   float expression as the serial scan (same counts → same doubles)
-#   keeping a per-block argmin under strict ``<``, and the caller
-#   merges block bests in block order — which is boundary order — so
-#   earliest-tie wins exactly as in the one-thread walk;
-# * the categorical tensor accumulates into per-block int64 partials
-#   summed in block order (integer adds — exact);
-# * the partition counts per block, exclusive-prefixes, then scatters
-#   into disjoint destination ranges — byte-for-byte the stable order.
-MT_SOURCE = r"""
-#include <stdlib.h>
-
-#define REPRO_ROW_GRAIN 16384
-
-/* ---- continuous scan, mode A: many segments -> block over segments */
-typedef struct {
-    const double *values; const int32_t *classes;
-    const int64_t *offsets; int64_t n_classes;
-    int64_t *scratch; /* blocks * 2 * n_classes */
-    double *out_weighted; int64_t *out_boundary; int64_t *out_nleft;
-} cont_segs_ctx;
-
-static void cont_segs_task(void *p, int64_t s0, int64_t s1, int block)
-{
-    cont_segs_ctx *c = (cont_segs_ctx *)p;
-    seg_continuous_best(
-        c->values, c->classes, c->offsets + s0, s1 - s0, c->n_classes,
-        c->scratch + (int64_t)block * 2 * c->n_classes,
-        c->out_weighted + s0, c->out_boundary + s0, c->out_nleft + s0);
-}
-
-/* ---- continuous scan, mode B: few big segments -> two-pass within */
-typedef struct {
-    const double *values; const int32_t *classes;
-    int64_t lo, hi, n, n_classes;
-    int64_t *adj;    /* blocks+1 run-aligned boundaries (abs indices) */
-    int64_t *bases;  /* blocks * n_classes: counts, then excl. prefix */
-    int64_t *left;   /* blocks * n_classes pass-2 scratch */
-    int64_t *total;  /* n_classes segment totals */
-    double *best_w; int64_t *best_b; int64_t *best_nl;
-} cont_within_ctx;
-
-/* First run start at or after abs index i (lo and hi are run-aligned
- * by definition).  Pure function of the data -> every block computes
- * the same boundary for the same nominal index. */
-static int64_t run_align(const double *values, int64_t lo, int64_t hi,
-                         int64_t i)
-{
-    if (i <= lo)
-        return lo;
-    while (i < hi && values[i] == values[i - 1])
-        i++;
-    return i;
-}
-
-static void cont_within_count(void *p, int64_t r0, int64_t r1, int block)
-{
-    cont_within_ctx *c = (cont_within_ctx *)p;
-    int64_t a = run_align(c->values, c->lo, c->hi, c->lo + r0);
-    int64_t e = run_align(c->values, c->lo, c->hi, c->lo + r1);
-    int64_t *cnt = c->bases + (int64_t)block * c->n_classes;
-    int64_t i;
-    c->adj[block] = a;
-    for (i = 0; i < c->n_classes; i++)
-        cnt[i] = 0;
-    for (i = a; i < e; i++)
-        cnt[c->classes[i]]++;
-}
-
-static void cont_within_scan(void *p, int64_t r0, int64_t r1, int block)
-{
-    cont_within_ctx *c = (cont_within_ctx *)p;
-    int64_t a = c->adj[block], e = c->adj[block + 1];
-    int64_t *left = c->left + (int64_t)block * c->n_classes;
-    int64_t nc = c->n_classes, i, k;
-    double bw = 0.0;
-    int64_t bb = -1, bnl = 0;
-    (void)r0; (void)r1;
-    for (k = 0; k < nc; k++)
-        left[k] = c->bases[(int64_t)block * nc + k];
-    i = a;
-    while (i < e) {
-        double v = c->values[i];
-        int64_t j = i;
-        do { /* runs never cross e: e is a run start */
-            left[c->classes[j]]++;
-            j++;
-        } while (j < e && c->values[j] == v);
-        if (j < c->hi) { /* boundary at a block edge is still a split */
-            int64_t nl = 0;
-            double sql = 0.0, sqr = 0.0;
-            for (k = 0; k < nc; k++) {
-                double dl = (double)left[k];
-                double dr = (double)(c->total[k] - left[k]);
-                nl += left[k];
-                sql += dl * dl;
-                sqr += dr * dr;
-            }
-            {
-                int64_t nr = c->n - nl;
-                double nlf = (double)nl, nrf = (double)nr;
-                double w = (nlf * (1.0 - sql / (nlf * nlf))
-                          + nrf * (1.0 - sqr / (nrf * nrf)))
-                          / (double)c->n;
-                if (bb < 0 || w < bw) {
-                    bw = w;
-                    bb = j;
-                    bnl = nl;
-                }
-            }
-        }
-        i = j;
-    }
-    c->best_w[block] = bw;
-    c->best_b[block] = bb;
-    c->best_nl[block] = bnl;
-}
-
-/* Same contract as seg_continuous_best; scratch (2*n_classes) is the
- * serial-fallback buffer so an allocation failure degrades to the
- * one-thread scan instead of a wrong answer. */
-void seg_continuous_best_mt(
-    const double *values, const int32_t *classes,
-    const int64_t *offsets, int64_t n_segments, int64_t n_classes,
-    int64_t *scratch,
-    double *out_weighted, int64_t *out_boundary, int64_t *out_nleft)
-{
-    int lanes = repro_pool_threads();
-    int64_t s;
-    int64_t *ibuf = 0;
-    double *dbuf = 0;
-    int maxb;
-    if (n_segments <= 0)
-        return;
-    if (lanes < 2) {
-        seg_continuous_best(values, classes, offsets, n_segments,
-                            n_classes, scratch,
-                            out_weighted, out_boundary, out_nleft);
-        return;
-    }
-    if (n_segments >= 2 * (int64_t)lanes) {
-        int blocks = repro_pool_blocks(n_segments, 1);
-        cont_segs_ctx ctx;
-        ibuf = (int64_t *)malloc(
-            (size_t)blocks * 2 * (size_t)n_classes * sizeof(int64_t));
-        if (!ibuf) {
-            seg_continuous_best(values, classes, offsets, n_segments,
-                                n_classes, scratch,
-                                out_weighted, out_boundary, out_nleft);
-            return;
-        }
-        ctx.values = values; ctx.classes = classes; ctx.offsets = offsets;
-        ctx.n_classes = n_classes; ctx.scratch = ibuf;
-        ctx.out_weighted = out_weighted; ctx.out_boundary = out_boundary;
-        ctx.out_nleft = out_nleft;
-        repro_parallel_for(n_segments, blocks, cont_segs_task, &ctx);
-        free(ibuf);
-        return;
-    }
-    /* few (presumably large) segments: two-pass inside each */
-    maxb = lanes;
-    ibuf = (int64_t *)malloc(
-        ((size_t)maxb + 1                        /* adj */
-         + 2 * (size_t)maxb * (size_t)n_classes /* bases + left */
-         + (size_t)n_classes                    /* totals */
-         + 2 * (size_t)maxb)                    /* best_b + best_nl */
-        * sizeof(int64_t));
-    dbuf = (double *)malloc((size_t)maxb * sizeof(double));
-    if (!ibuf || !dbuf) {
-        free(ibuf);
-        free(dbuf);
-        seg_continuous_best(values, classes, offsets, n_segments,
-                            n_classes, scratch,
-                            out_weighted, out_boundary, out_nleft);
-        return;
-    }
-    for (s = 0; s < n_segments; s++) {
-        int64_t lo = offsets[s], hi = offsets[s + 1];
-        int64_t n = hi - lo;
-        int blocks = (n >= 2) ? repro_pool_blocks(n, REPRO_ROW_GRAIN) : 1;
-        if (blocks < 2) {
-            seg_continuous_best(values, classes, offsets + s, 1,
-                                n_classes, scratch,
-                                out_weighted + s, out_boundary + s,
-                                out_nleft + s);
-        } else {
-            cont_within_ctx ctx;
-            int64_t *adj = ibuf;
-            int64_t *bases = adj + (maxb + 1);
-            int64_t *left = bases + (int64_t)maxb * n_classes;
-            int64_t *total = left + (int64_t)maxb * n_classes;
-            int64_t *best_b = total + n_classes;
-            int64_t *best_nl = best_b + maxb;
-            int64_t k, b;
-            ctx.values = values; ctx.classes = classes;
-            ctx.lo = lo; ctx.hi = hi; ctx.n = n; ctx.n_classes = n_classes;
-            ctx.adj = adj; ctx.bases = bases; ctx.left = left;
-            ctx.total = total;
-            ctx.best_w = dbuf; ctx.best_b = best_b; ctx.best_nl = best_nl;
-            repro_parallel_for(n, blocks, cont_within_count, &ctx);
-            adj[blocks] = hi;
-            for (k = 0; k < n_classes; k++)
-                total[k] = 0;
-            for (b = 0; b < blocks; b++) { /* excl. prefix -> left bases */
-                for (k = 0; k < n_classes; k++) {
-                    int64_t t = bases[b * n_classes + k];
-                    bases[b * n_classes + k] = total[k];
-                    total[k] += t;
-                }
-            }
-            repro_parallel_for(n, blocks, cont_within_scan, &ctx);
-            out_weighted[s] = 0.0;
-            out_boundary[s] = -1;
-            out_nleft[s] = 0;
-            for (b = 0; b < blocks; b++) { /* block order == boundary order */
-                if (best_b[b] >= 0
-                    && (out_boundary[s] < 0
-                        || dbuf[b] < out_weighted[s])) {
-                    out_weighted[s] = dbuf[b];
-                    out_boundary[s] = best_b[b];
-                    out_nleft[s] = best_nl[b];
-                }
-            }
-        }
-    }
-    free(ibuf);
-    free(dbuf);
-}
-
-/* ---- categorical counts ------------------------------------------- */
-typedef struct {
-    const int64_t *values; const int32_t *classes;
-    const int64_t *offsets; int64_t n_segments;
-    int64_t cardinality, n_classes;
-    int64_t *out;
-} cat_segs_ctx;
-
-static void cat_segs_task(void *p, int64_t s0, int64_t s1, int block)
-{
-    cat_segs_ctx *c = (cat_segs_ctx *)p;
-    (void)block;
-    seg_categorical_counts(
-        c->values, c->classes, c->offsets + s0, s1 - s0,
-        c->cardinality, c->n_classes,
-        c->out + s0 * c->cardinality * c->n_classes);
-}
-
-typedef struct {
-    const int64_t *values; const int32_t *classes;
-    const int64_t *offsets; int64_t n_segments;
-    int64_t cardinality, n_classes, base;
-    int64_t *partials; /* blocks * n_segments*cardinality*n_classes */
-} cat_rows_ctx;
-
-static void cat_rows_task(void *p, int64_t r0, int64_t r1, int block)
-{
-    cat_rows_ctx *c = (cat_rows_ctx *)p;
-    int64_t cells = c->n_segments * c->cardinality * c->n_classes;
-    int64_t *part = c->partials + (int64_t)block * cells;
-    int64_t i = c->base + r0, end = c->base + r1;
-    int64_t s;
-    { /* first segment containing i (offsets is sorted) */
-        int64_t lo = 0, hi = c->n_segments;
-        while (lo < hi) {
-            int64_t mid = lo + ((hi - lo) >> 1);
-            if (c->offsets[mid + 1] <= i)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        s = lo;
-    }
-    for (; i < end; i++) {
-        while (i >= c->offsets[s + 1])
-            s++;
-        part[(s * c->cardinality + c->values[i]) * c->n_classes
-             + c->classes[i]]++;
-    }
-}
-
-void seg_categorical_counts_mt(
-    const int64_t *values, const int32_t *classes,
-    const int64_t *offsets, int64_t n_segments,
-    int64_t cardinality, int64_t n_classes,
-    int64_t *out)
-{
-    int lanes = repro_pool_threads();
-    if (n_segments <= 0)
-        return;
-    if (lanes >= 2 && n_segments >= 2 * (int64_t)lanes) {
-        int blocks = repro_pool_blocks(n_segments, 1);
-        cat_segs_ctx ctx;
-        ctx.values = values; ctx.classes = classes; ctx.offsets = offsets;
-        ctx.n_segments = n_segments; ctx.cardinality = cardinality;
-        ctx.n_classes = n_classes; ctx.out = out;
-        repro_parallel_for(n_segments, blocks, cat_segs_task, &ctx);
-        return;
-    }
-    if (lanes >= 2) {
-        int64_t n_rows = offsets[n_segments] - offsets[0];
-        int blocks = repro_pool_blocks(n_rows, REPRO_ROW_GRAIN);
-        if (blocks >= 2) {
-            int64_t cells = n_segments * cardinality * n_classes;
-            int64_t *partials = (int64_t *)calloc(
-                (size_t)blocks * (size_t)cells, sizeof(int64_t));
-            if (partials) {
-                cat_rows_ctx ctx;
-                int64_t b, k;
-                ctx.values = values; ctx.classes = classes;
-                ctx.offsets = offsets; ctx.n_segments = n_segments;
-                ctx.cardinality = cardinality; ctx.n_classes = n_classes;
-                ctx.base = offsets[0]; ctx.partials = partials;
-                repro_parallel_for(n_rows, blocks, cat_rows_task, &ctx);
-                for (b = 0; b < blocks; b++) /* exact integer adds */
-                    for (k = 0; k < cells; k++)
-                        out[k] += partials[b * cells + k];
-                free(partials);
-                return;
-            }
-        }
-    }
-    seg_categorical_counts(values, classes, offsets, n_segments,
-                           cardinality, n_classes, out);
-}
-
-/* ---- two-pass counted partition ----------------------------------- */
-typedef struct {
-    const char *src; int64_t n, itemsize;
-    const uint8_t *mask; char *out;
-    int64_t *lcnt; /* per-block left counts, then exclusive prefixes */
-    int64_t n_left;
-} part_ctx;
-
-static void part_count_task(void *p, int64_t r0, int64_t r1, int block)
-{
-    part_ctx *c = (part_ctx *)p;
-    int64_t i, nl = 0;
-    for (i = r0; i < r1; i++)
-        nl += c->mask[i] != 0;
-    c->lcnt[block] = nl;
-}
-
-static void part_scatter_task(void *p, int64_t r0, int64_t r1, int block)
-{
-    part_ctx *c = (part_ctx *)p;
-    char *pl = c->out + c->lcnt[block] * c->itemsize;
-    char *pr = c->out + (c->n_left + r0 - c->lcnt[block]) * c->itemsize;
-    int64_t i;
-    for (i = r0; i < r1; i++) {
-        const char *rec = c->src + i * c->itemsize;
-        if (c->mask[i]) {
-            memcpy(pl, rec, (size_t)c->itemsize);
-            pl += c->itemsize;
-        } else {
-            memcpy(pr, rec, (size_t)c->itemsize);
-            pr += c->itemsize;
-        }
-    }
-}
-
-int64_t partition_stable_bytes_mt(
-    const char *src, int64_t n, int64_t itemsize,
-    const uint8_t *mask, char *out)
-{
-    int blocks = repro_pool_blocks(n, REPRO_ROW_GRAIN);
-    int64_t *lcnt;
-    part_ctx ctx;
-    int64_t b, n_left;
-    if (blocks < 2)
-        return partition_stable_bytes(src, n, itemsize, mask, out);
-    lcnt = (int64_t *)malloc((size_t)blocks * sizeof(int64_t));
-    if (!lcnt)
-        return partition_stable_bytes(src, n, itemsize, mask, out);
-    ctx.src = src; ctx.n = n; ctx.itemsize = itemsize;
-    ctx.mask = mask; ctx.out = out; ctx.lcnt = lcnt; ctx.n_left = 0;
-    repro_parallel_for(n, blocks, part_count_task, &ctx);
-    n_left = 0;
-    for (b = 0; b < blocks; b++) {
-        int64_t t = lcnt[b];
-        lcnt[b] = n_left;
-        n_left += t;
-    }
-    ctx.n_left = n_left;
-    repro_parallel_for(n, blocks, part_scatter_task, &ctx);
-    free(lcnt);
-    return n_left;
-}
-"""
-
-
 def _ptr(a: np.ndarray) -> ctypes.c_void_p:
     return a.ctypes.data_as(ctypes.c_void_p)
 
@@ -649,30 +251,6 @@ class TrainingKernels:
         self._membership.restype = None
         self._membership_lookup = lib.membership_lookup
         self._membership_lookup.restype = None
-        # Pool-threaded spellings exist only when the worker pool loaded
-        # and the MT source compiled; absent, every call stays serial.
-        try:
-            self._continuous_mt = lib.seg_continuous_best_mt
-            self._continuous_mt.restype = None
-            self._categorical_mt = lib.seg_categorical_counts_mt
-            self._categorical_mt.restype = None
-            self._partition_mt = lib.partition_stable_bytes_mt
-            self._partition_mt.restype = ctypes.c_int64
-        except AttributeError:
-            self._continuous_mt = None
-            self._categorical_mt = None
-            self._partition_mt = None
-
-    def _lanes(self) -> int:
-        """Pool lanes for this call (0/1 = stay on the serial kernels).
-
-        :func:`repro._native.pool.sync` re-reads the thread-count
-        configuration every time, so flipping ``REPRO_NATIVE_THREADS``
-        or the CLI override mid-process retargets the very next call.
-        """
-        if self._continuous_mt is None:
-            return 0
-        return pool.sync()
 
     # -- step E, continuous ------------------------------------------------
 
@@ -695,8 +273,7 @@ class TrainingKernels:
         boundary = np.empty(n_segments, dtype=np.int64)
         n_left = np.empty(n_segments, dtype=np.int64)
         scratch = np.empty(2 * n_classes, dtype=np.int64)
-        fn = self._continuous_mt if self._lanes() >= 2 else self._continuous
-        fn(
+        self._continuous(
             _ptr(values), _ptr(classes), _ptr(offsets),
             ctypes.c_int64(n_segments), ctypes.c_int64(n_classes),
             _ptr(scratch),
@@ -722,8 +299,7 @@ class TrainingKernels:
         increments.
         """
         kernel_stats.record("categorical_counts", "native", len(values))
-        fn = self._categorical_mt if self._lanes() >= 2 else self._categorical
-        fn(
+        self._categorical(
             _ptr(values), _ptr(classes), _ptr(offsets),
             ctypes.c_int64(len(offsets) - 1),
             ctypes.c_int64(cardinality), ctypes.c_int64(n_classes),
@@ -743,9 +319,8 @@ class TrainingKernels:
         items of the same dtype.
         """
         kernel_stats.record("partition", "native", len(records))
-        fn = self._partition_mt if self._lanes() >= 2 else self._partition
         return int(
-            fn(
+            self._partition(
                 _ptr(records), ctypes.c_int64(len(records)),
                 ctypes.c_int64(records.dtype.itemsize),
                 _ptr(mask), _ptr(out),
@@ -796,12 +371,6 @@ def kernels() -> Optional[TrainingKernels]:
 
     Ignores the gate — this is the "does a kernel exist" question.  Most
     callers want :func:`active_kernels`.
-
-    When the worker pool loaded, the kernels are compiled with the
-    pool-threaded spellings appended (the externs bind against the
-    RTLD_GLOBAL pool at ``dlopen``); any pool or MT-compile failure
-    falls back to the plain single-threaded source, so "native but
-    serial" is always reachable.
     """
     global _kernels, _tried
     if _tried:
@@ -815,15 +384,6 @@ def kernels() -> Optional[TrainingKernels]:
 
 
 def _compile_and_bind() -> Optional[TrainingKernels]:
-    if pool.load() is not None:
-        so_path = cc.compile_cached(
-            pool.POOL_DECLS + C_SOURCE + MT_SOURCE, "train-mt"
-        )
-        if so_path is not None:
-            try:
-                return TrainingKernels(ctypes.CDLL(so_path), so_path)
-            except OSError:
-                pass
     so_path = cc.compile_cached(C_SOURCE, "train")
     if so_path is not None:
         try:

@@ -3,10 +3,10 @@
 The in-kernel pool must be invisible in every result: a build with
 ``REPRO_NATIVE_THREADS=4`` has to produce *exactly* the tree a numpy
 serial build produces, for every scheme, and a forest has to vote the
-same classes at any lane count.  The dataset is sized so root-level
-scans genuinely span multiple pool blocks (well past the 16384-row
-blocking grain) — at 300 records the threaded kernels would dispatch
-but never fan out.
+same classes at any lane count.  The training kernels are
+single-threaded, so the build half pins that the lane setting leaves
+them alone; the forest half runs the pool-parallel vote over enough
+rows to span many pool blocks.
 
 Thread counts are driven through the ``REPRO_NATIVE_THREADS``
 environment variable (the spelling operators use); the CLI-override
@@ -35,9 +35,8 @@ THREADS = (1, 2, 4)
 
 @pytest.fixture(scope="module")
 def dataset():
-    # 40k records: the root scan covers multiple pool blocks at >=2
-    # lanes, so the parallel decompositions (not just their dispatch)
-    # are what must reproduce the reference.
+    # 40k records: large enough that the native kernels, not numpy's
+    # small-input fallbacks, do the root-level work.
     return generate_dataset(
         DatasetSpec(function=2, n_attributes=9, n_records=40_000, seed=3)
     )

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.builder import build_classifier
+from repro.core.params import BuildParams
 from repro.core.recordpar import chunk_bounds
 from repro.smp.machine import machine_b
-from repro.sprint.gini import (
-    best_continuous_split,
-    best_continuous_split_chunk,
+from repro.sprint.runs import (
+    evaluate_runs,
+    merge_value_histograms,
+    run_histogram,
 )
 
 
@@ -35,52 +37,46 @@ class TestChunkBounds:
         assert bounds == [(0, 1), (1, 2), (2, 2), (2, 2)]
 
 
+def chunked_split(values, classes, n_procs, n_classes=2):
+    """The record-parallel evaluation: one partial histogram per chunk,
+    merged by addition, evaluated once."""
+    partials = []
+    for pid in range(n_procs):
+        lo, hi = chunk_bounds(len(values), pid, n_procs)
+        partials.append(run_histogram(values[lo:hi], classes[lo:hi], n_classes))
+    return evaluate_runs(merge_value_histograms(partials, n_classes))[0]
+
+
 class TestChunkedEvaluation:
     @pytest.mark.parametrize("n_procs", [1, 2, 3, 5])
     def test_chunked_matches_global(self, n_procs):
-        """Reducing per-chunk bests reproduces the global best split."""
+        """Merged chunk histograms reproduce the global split exactly."""
         rng = np.random.default_rng(7)
         n = 97
         values = np.sort(rng.integers(0, 25, n).astype(np.float64))
         classes = rng.integers(0, 2, n).astype(np.int32)
-        totals = np.bincount(classes, minlength=2)
 
-        reference = best_continuous_split(values, classes, 2)
-
-        best = None
-        for pid in range(n_procs):
-            lo, hi = chunk_bounds(n, pid, n_procs)
-            chunk_v = values[lo:hi]
-            chunk_c = classes[lo:hi]
-            next_value = float(values[hi]) if hi < n else None
-            prefix = np.bincount(classes[:lo], minlength=2)
-            entry = best_continuous_split_chunk(
-                chunk_v, chunk_c, next_value, prefix, totals, n
-            )
-            if entry is None:
-                continue
-            if best is None or (entry[0], entry[1]) < (best[0], best[1]):
-                best = entry
-        assert (best is None) == (reference is None)
-        if reference is not None:
-            gini_value, _boundary, threshold, n_left = best
-            assert gini_value == pytest.approx(reference.weighted_gini)
-            assert threshold == pytest.approx(reference.threshold)
-            assert n_left == reference.n_left
+        reference = evaluate_runs(run_histogram(values, classes, 2))[0]
+        assert repr(chunked_split(values, classes, n_procs)) == repr(reference)
 
     def test_empty_chunk(self):
-        out = best_continuous_split_chunk(
-            np.array([]), np.array([], dtype=np.int32), 1.0,
-            np.zeros(2, dtype=np.int64), np.array([3, 3]), 6,
-        )
-        assert out is None
+        # More processors than records: the empty chunks add nothing.
+        values = np.array([1.0, 2.0])
+        classes = np.array([0, 1], dtype=np.int32)
+        got = chunked_split(values, classes, n_procs=4)
+        assert got.threshold == 1.5
+        assert (got.n_left, got.n_right) == (1, 1)
 
     def test_constant_chunk_without_boundary(self):
-        out = best_continuous_split_chunk(
-            np.array([2.0, 2.0]), np.array([0, 1], dtype=np.int32), 2.0,
-            np.zeros(2, dtype=np.int64), np.array([2, 2]), 4,
-        )
-        assert out is None  # next chunk starts with the same value
+        # A chunk boundary inside a run of equal values: the run's two
+        # halves must sum back into one run, so the only split point is
+        # after the whole run (n_left = 4), never inside it (n_left = 2).
+        values = np.array([2.0, 2.0, 2.0, 2.0, 3.0, 3.0])
+        classes = np.array([0, 0, 1, 1, 1, 1], dtype=np.int32)
+        got = chunked_split(values, classes, n_procs=3)
+        assert got.threshold == 2.5
+        assert (got.n_left, got.n_right) == (4, 2)
+        assert got.weighted_gini == pytest.approx(1 / 3)
 
 
 class TestRecordParScheme:
@@ -97,6 +93,36 @@ class TestRecordParScheme:
         reference = build_classifier(small_f7, algorithm="serial").tree
         result = build_classifier(
             small_f7, algorithm="recordpar", machine=machine_b(3), n_procs=3
+        )
+        assert result.tree.signature() == reference.signature()
+
+    def test_chunk_boundary_inside_a_run(self, tiny_schema):
+        """Three chunks cut the root's run of equal ages twice; the
+        partial runs must sum back so the split lands after the run."""
+        from repro.data.dataset import Dataset
+
+        columns = {
+            "age": np.array([2.0, 2.0, 2.0, 2.0, 3.0, 3.0]),
+            "car": np.zeros(6, dtype=np.int64),
+        }
+        labels = np.array([0, 0, 1, 1, 1, 1], dtype=np.int32)
+        data = Dataset(tiny_schema, columns, labels, name="tied-run")
+        reference = build_classifier(data, algorithm="serial").tree
+        assert reference.root.split.threshold == 2.5
+        result = build_classifier(
+            data, algorithm="recordpar", machine=machine_b(3), n_procs=3
+        )
+        assert result.tree.signature() == reference.signature()
+
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_tree_equality_under_criterion(self, small_f7, criterion):
+        params = BuildParams(criterion=criterion)
+        reference = build_classifier(
+            small_f7, algorithm="serial", params=params
+        ).tree
+        result = build_classifier(
+            small_f7, algorithm="recordpar", machine=machine_b(3),
+            n_procs=3, params=params,
         )
         assert result.tree.signature() == reference.signature()
 

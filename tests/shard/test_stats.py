@@ -1,10 +1,10 @@
 """Property tests: merged shard statistics == the global scan.
 
 The coordinator's split decisions must be bit-identical to the serial
-kernels, so these tests treat :func:`best_continuous_split_dense` and
-:func:`best_categorical_split_from_counts` as oracles and check the
-histogram round trip against them on randomized inputs — including the
-tid-range sharding the coordinator actually performs.
+kernels, so these tests treat the run evaluator on the *global* sorted
+list and :func:`best_categorical_split_from_counts` as oracles and
+check the shard histogram round trip against them on randomized inputs
+— including the tid-range sharding the coordinator actually performs.
 """
 
 from __future__ import annotations
@@ -12,17 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.shard.stats import (
-    categorical_counts,
-    categorical_split_from_counts,
-    continuous_split_from_histogram,
+from repro.shard.stats import categorical_counts, categorical_split_from_counts
+from repro.sprint.gini import best_categorical_split_from_counts
+from repro.sprint.runs import (
     empty_histogram,
+    evaluate_runs,
     merge_value_histograms,
-    value_histogram,
-)
-from repro.sprint.gini import (
-    best_categorical_split_from_counts,
-    best_continuous_split_dense,
+    run_histogram,
 )
 
 N_CLASSES = 3
@@ -58,14 +54,14 @@ class TestContinuous:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 400))
         values, classes = sorted_column(rng, n, distinct=int(rng.integers(1, 40)))
-        oracle = best_continuous_split_dense(values, classes, N_CLASSES)
+        oracle = evaluate_runs(run_histogram(values, classes, N_CLASSES))[0]
 
         hists = [
-            value_histogram(v, c, N_CLASSES)
+            run_histogram(v, c, N_CLASSES)
             for v, c in shard_slices(values, classes, n_shards, rng)
         ]
         merged = merge_value_histograms(hists, N_CLASSES)
-        got = continuous_split_from_histogram(merged)
+        got = evaluate_runs(merged)[0]
 
         if oracle is None:
             assert got is None
@@ -79,7 +75,7 @@ class TestContinuous:
     def test_histogram_counts_are_exact(self):
         rng = np.random.default_rng(42)
         values, classes = sorted_column(rng, 200, distinct=10)
-        hist = value_histogram(values, classes, N_CLASSES)
+        hist = run_histogram(values, classes, N_CLASSES)
         assert hist.n_records == 200
         assert int(hist.counts.sum()) == 200
         assert (np.diff(hist.values) > 0).all()
@@ -89,7 +85,7 @@ class TestContinuous:
     def test_empty_and_single_shard_merge(self):
         rng = np.random.default_rng(7)
         values, classes = sorted_column(rng, 50, distinct=5)
-        hist = value_histogram(values, classes, N_CLASSES)
+        hist = run_histogram(values, classes, N_CLASSES)
         merged = merge_value_histograms(
             [empty_histogram(N_CLASSES), hist, empty_histogram(N_CLASSES)],
             N_CLASSES,
@@ -98,11 +94,11 @@ class TestContinuous:
         assert (merged.counts == hist.counts).all()
 
     def test_fewer_than_two_records_is_no_split(self):
-        hist = value_histogram(
+        hist = run_histogram(
             np.array([1.5]), np.array([0], dtype=np.int32), N_CLASSES
         )
-        assert continuous_split_from_histogram(hist) is None
-        assert continuous_split_from_histogram(empty_histogram(N_CLASSES)) is None
+        assert evaluate_runs(hist) == [None]
+        assert evaluate_runs(empty_histogram(N_CLASSES)) == [None]
 
 
 class TestCategorical:

@@ -1,11 +1,13 @@
 """Property tests for the level-batched E/W/S kernels.
 
 The segmented kernels in :mod:`repro.sprint.kernels` must reproduce the
-per-leaf vectorized path *bit-for-bit* (same thresholds, subsets and
+per-leaf evaluation *bit-for-bit* (same thresholds, subsets and
 tie-breaks — every scheme's determinism rests on that) and agree with
 the record-at-a-time scan reference in :mod:`repro.sprint.histogram`
-up to float round-off.  These tests cross-check all three on random
-leaf partitions, including the awkward shapes the batched path must
+up to float round-off.  For continuous attributes the per-leaf
+reference is the numpy run evaluator of :mod:`repro.sprint.runs` on one
+leaf's histogram.  These tests cross-check them on random leaf
+partitions, including the awkward shapes the batched path must
 survive: empty segments, single-record leaves, all-equal values, and
 both impurity criteria.
 """
@@ -18,13 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sprint.kernels as kernels
-from repro.sprint.gini import (
-    best_categorical_split,
-    best_continuous_split_dense,
-)
+from repro.sprint.gini import best_categorical_split
 from repro.sprint.histogram import CountMatrix, scan_continuous_split
 from repro.sprint.kernels import (
-    SINGLE_LEAF_DENSE_LIMIT,
     ScratchArena,
     concat_field,
     partition_stable,
@@ -34,8 +32,15 @@ from repro.sprint.kernels import (
     segmented_continuous_splits,
 )
 from repro.sprint.records import CONTINUOUS_RECORD
+from repro.sprint.runs import evaluate_runs, run_histogram
 
 CRITERIA = ("gini", "entropy")
+
+
+def leaf_split(values, classes, n_classes, criterion="gini"):
+    """One leaf through the numpy run evaluator (the per-leaf reference)."""
+    hist = run_histogram(values, classes, n_classes)
+    return evaluate_runs(hist, criterion)[0]
 
 
 def random_level(rng, n_classes, quantized):
@@ -104,7 +109,7 @@ class TestSegmentedContinuous:
         quantized=st.booleans(),
     )
     def test_bit_identical_to_dense(self, seed, n_classes, criterion, quantized):
-        """Same floats, same tie-breaks as the per-leaf dense path."""
+        """Same floats, same tie-breaks as evaluating each leaf alone."""
         rng = np.random.default_rng(seed)
         segments, values, classes, offsets = random_level(
             rng, n_classes, quantized
@@ -114,9 +119,7 @@ class TestSegmentedContinuous:
         )
         assert len(got) == len(segments)
         for candidate, (v, c) in zip(got, segments):
-            want = best_continuous_split_dense(
-                v, c, n_classes, criterion=criterion
-            )
+            want = leaf_split(v, c, n_classes, criterion=criterion)
             # repr-level equality: exact weighted impurity, threshold and
             # counts — bit-identity, not approximation.
             assert repr(candidate) == repr(want)
@@ -203,20 +206,20 @@ class TestSegmentedContinuous:
         classes = np.array([0, 1, 0, 1], dtype=np.int32)
         offsets = np.array([0, 4], dtype=np.int64)
         got = segmented_continuous_splits(values, classes, offsets, 2)[0]
-        want = best_continuous_split_dense(values, classes, 2)
+        want = leaf_split(values, classes, 2)
         assert repr(got) == repr(want)
         assert got.threshold == pytest.approx(1.5)
 
     def test_large_single_segment_takes_segmented_path(self):
-        """Above SINGLE_LEAF_DENSE_LIMIT the run-compressed path runs
-        even for one segment; it must still match the dense scan."""
-        n = SINGLE_LEAF_DENSE_LIMIT + 1
+        """A large tie-heavy leaf goes through the same segmented entry
+        point and still matches the per-leaf evaluation."""
+        n = (1 << 15) + 1
         rng = np.random.default_rng(0)
         values = np.sort(rng.integers(0, 16, n).astype(np.float64))
         classes = rng.integers(0, 2, n).astype(np.int32)
         offsets = np.array([0, n], dtype=np.int64)
         got = segmented_continuous_splits(values, classes, offsets, 2)[0]
-        want = best_continuous_split_dense(values, classes, 2)
+        want = leaf_split(values, classes, 2)
         assert repr(got) == repr(want)
 
 

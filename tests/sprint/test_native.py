@@ -27,6 +27,7 @@ from repro.sprint import kernels as K
 from repro.sprint import native
 from repro.sprint.probe import HashProbe
 from repro.sprint.records import CATEGORICAL_RECORD, CONTINUOUS_RECORD
+from repro.sprint.runs import evaluate_runs, run_histogram
 
 needs_native = pytest.mark.skipif(
     not native.native_available(),
@@ -120,6 +121,55 @@ class TestContinuousDifferential:
                 values, classes, offsets, 3, criterion="entropy"
             )
         assert_candidates_identical(ref, got)
+
+
+def _run_shape(name, rng):
+    """(segment lengths, values per segment, n_classes) for one shape."""
+    if name == "multi-segment":
+        lengths = [int(m) for m in rng.integers(50, 400, size=12)]
+        return lengths, [np.sort(rng.random(m)) for m in lengths], 4
+    if name == "tie-heavy":
+        lengths = [3000, 1, 2500]
+        return lengths, [
+            np.sort(rng.integers(0, 6, m).astype(np.float64)) for m in lengths
+        ], 2
+    if name == "all-equal":
+        lengths = [40, 7]
+        return lengths, [np.full(m, 2.5) for m in lengths], 3
+    if name == "single-record":
+        lengths = [1, 1, 1]
+        return lengths, [rng.random(1) for _ in lengths], 2
+    # "empty": empty segments around and between real ones.
+    lengths = [0, 5, 0, 0, 9, 0]
+    return lengths, [np.sort(rng.random(m)) for m in lengths], 3
+
+
+@needs_native
+class TestRunEvaluatorDifferential:
+    """The C scan against its bit-exact reference, the numpy run
+    evaluator fed the histogram of the same segments."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["multi-segment", "tie-heavy", "all-equal", "single-record", "empty"],
+    )
+    def test_c_scan_matches_run_evaluator(self, shape):
+        rng = np.random.default_rng(len(shape))
+        lengths, segments, n_classes = _run_shape(shape, rng)
+        values = np.concatenate(segments)
+        classes = rng.integers(0, n_classes, len(values)).astype(np.int32)
+        offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        want = evaluate_runs(
+            run_histogram(values, classes, n_classes, offsets)
+        )
+        with cc.native_override("on"):
+            got = K.segmented_continuous_splits(
+                values, classes, offsets, n_classes
+            )
+        assert_candidates_identical(want, got)
+        n_splits = {"all-equal": 0, "single-record": 0, "empty": 2}
+        if shape in n_splits:
+            assert sum(c is not None for c in got) == n_splits[shape]
 
 
 @needs_native

@@ -1,16 +1,13 @@
-"""In-kernel SMP: the worker pool and the threaded training kernels.
+"""In-kernel SMP: the worker pool under the inference kernels.
 
-The pool (:mod:`repro._native.pool`) promises *bit-identical* results at
-any lane count — parallelism must change wall-clock time and nothing
-else.  These tests pin that promise at the kernel layer: every threaded
-scan/count/partition is compared against its single-threaded native
-spelling and its numpy twin across lane counts straddling the blocking
-grain, including the awkward shapes (one huge segment, tie-heavy runs,
-inputs far below the grain).
-
-Pool mechanics — block planning, override precedence, the stats
-counters telemetry folds in, and GIL release while helpers run — are
-covered here too.  Everything skips cleanly when no C compiler (or no
+The pool (:mod:`repro._native.pool`) serves single-tree routing and the
+fused forest vote; the training kernels are single-threaded.  It
+promises *bit-identical* results at any lane count — parallelism must
+change wall-clock time and nothing else.  These tests pin that promise
+for the routers across lane counts straddling the blocking grain, and
+cover the pool mechanics: block planning, override precedence, the
+stats counters telemetry folds in, concurrent callers, and GIL release
+while helpers run.  Everything skips cleanly when no C compiler (or no
 pthreads pool) is available.
 """
 
@@ -21,19 +18,15 @@ import numpy as np
 import pytest
 
 from repro._native import cc, pool
-from repro.sprint import kernels as K
-from repro.sprint import native
-from repro.sprint.records import CONTINUOUS_RECORD
-
-needs_native = pytest.mark.skipif(
-    not native.native_available(),
-    reason="no C compiler / native kernels unavailable",
-)
+from repro.classify import native as cnative
+from repro.classify.compiled import compile_tree
+from repro.classify.forest import compile_forest
+from repro.classify.treegen import random_columns, random_schema, random_tree
 
 
 def _threaded_kernels_available() -> bool:
-    nat = native.kernels()
-    return nat is not None and nat._continuous_mt is not None
+    kernel = cnative.native_kernel()
+    return kernel is not None and kernel._route_mt is not None
 
 
 needs_pool = pytest.mark.skipif(
@@ -41,140 +34,42 @@ needs_pool = pytest.mark.skipif(
     reason="threaded native kernels unavailable (no pool)",
 )
 
-#: Lane counts exercised by every differential test: serial, the
-#: smallest parallel pool, a typical one, and more lanes than blocks.
+#: Lane counts exercised by the identity tests: serial, the smallest
+#: parallel pool, a typical one, and more lanes than blocks.
 LANES = (1, 2, 4, 7)
 
 
-def _continuous_case(name, rng):
-    """(values, classes, offsets, n_classes) for one named shape."""
-    if name == "one-huge-segment":
-        # Forces the within-segment decomposition at >=2 lanes.
-        n, ncls = 200_000, 3
-        values = np.sort(rng.random(n))
-        segs = [n]
-    elif name == "few-big-segments":
-        n, ncls = 70_000, 5
-        segs = [n // 3, n // 3, n - 2 * (n // 3)]
-        values = np.concatenate([np.sort(rng.random(m)) for m in segs])
-    elif name == "tie-heavy":
-        # Long equal-value runs: block boundaries must align to run
-        # starts or the split-point bookkeeping diverges.
-        n, ncls = 120_000, 2
-        values = np.sort(rng.integers(0, 40, n).astype(np.float64))
-        segs = [n]
-    elif name == "many-small-segments":
-        # More segments than lanes: the per-segment decomposition.
-        ncls = 4
-        segs = [int(m) for m in rng.integers(500, 4_000, size=64)]
-        n = sum(segs)
-        values = np.concatenate([np.sort(rng.random(m)) for m in segs])
-    else:  # "tiny": far below every grain — must stay correct inline.
-        ncls = 2
-        segs = [3, 0, 2]
-        n = sum(segs)
-        values = np.concatenate([np.sort(rng.random(m)) for m in segs])
-    classes = rng.integers(0, ncls, n).astype(np.int32)
-    offsets = np.concatenate([[0], np.cumsum(segs)]).astype(np.int64)
-    return values, classes, offsets, ncls
+@pytest.fixture(scope="module")
+def model():
+    """(schema, one tree, a 16-tree forest) over a random schema."""
+    rng = np.random.default_rng(7)
+    schema = random_schema(rng)
+    trees = [
+        random_tree(schema, max_depth=8, seed=100 + i, leaf_prob=0.25)
+        for i in range(16)
+    ]
+    return schema, compile_tree(trees[0]), compile_forest(trees)
 
 
-def _identical_candidates(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        if x is None or y is None:
-            assert x is None and y is None
-            continue
-        assert x.weighted_gini == y.weighted_gini  # bit-identical
-        assert x.threshold == y.threshold
-        assert (x.n_left, x.n_right) == (y.n_left, y.n_right)
+def _columns(model, n, seed):
+    return random_columns(model[0], n, seed=seed, wild=True)
 
 
 @needs_pool
-class TestContinuousThreadIdentity:
-    @pytest.mark.parametrize(
-        "shape",
-        [
-            "one-huge-segment",
-            "few-big-segments",
-            "tie-heavy",
-            "many-small-segments",
-            "tiny",
-        ],
-    )
-    def test_matches_numpy_at_every_lane_count(self, shape):
-        rng = np.random.default_rng(hash(shape) % (1 << 32))
-        values, classes, offsets, ncls = _continuous_case(shape, rng)
+class TestRouteThreadIdentity:
+    @pytest.mark.parametrize("n", [100_000, 8_193, 100, 1])
+    def test_route_and_vote_identical_at_every_lane_count(self, model, n):
+        _, tree, forest = model
+        columns = _columns(model, n, seed=n)
         with cc.native_override("off"):
-            ref = K.segmented_continuous_splits(
-                values, classes, offsets, ncls
-            )
+            rows_ref = tree.route_rows(columns)
+            votes_ref = forest.predict(columns)
         for lanes in LANES:
             with cc.native_override("on"), pool.thread_override(lanes):
-                got = K.segmented_continuous_splits(
-                    values, classes, offsets, ncls
-                )
-            _identical_candidates(ref, got)
-
-
-@needs_pool
-class TestCategoricalThreadIdentity:
-    @pytest.mark.parametrize(
-        "segs",
-        [
-            [150_000],  # one big segment: per-block partial tensors
-            [40_000, 40_000, 40_000],  # few big segments
-            [700] * 64,  # many segments: disjoint slices
-            [5, 0, 3],  # below the grain
-        ],
-    )
-    def test_count_tensor_identical(self, segs):
-        rng = np.random.default_rng(sum(segs) + len(segs))
-        card, ncls = 6, 3
-        n = sum(segs)
-        values = rng.integers(0, card, n).astype(np.int64)
-        classes = rng.integers(0, ncls, n).astype(np.int32)
-        offsets = np.concatenate([[0], np.cumsum(segs)]).astype(np.int64)
-        with cc.native_override("off"):
-            ref = K.segmented_categorical_counts(
-                values, classes, offsets, card, ncls
-            )
-        for lanes in LANES:
-            with cc.native_override("on"), pool.thread_override(lanes):
-                got = K.segmented_categorical_counts(
-                    values, classes, offsets, card, ncls
-                )
-            np.testing.assert_array_equal(ref, got)
-
-
-@needs_pool
-class TestPartitionThreadIdentity:
-    @pytest.mark.parametrize("n", [300_000, 16_385, 100, 1, 0])
-    def test_stable_partition_identical(self, n):
-        rng = np.random.default_rng(n + 1)
-        rec = np.zeros(n, dtype=CONTINUOUS_RECORD)
-        rec["value"] = rng.random(n)
-        rec["cls"] = rng.integers(0, 3, n)
-        rec["tid"] = rng.permutation(n)
-        mask = rng.random(n) < 0.37
-        with cc.native_override("off"):
-            l_ref, r_ref = K.partition_stable(rec, mask)
-        for lanes in LANES:
-            with cc.native_override("on"), pool.thread_override(lanes):
-                left, right = K.partition_stable(rec, mask)
-            np.testing.assert_array_equal(l_ref, left)
-            np.testing.assert_array_equal(r_ref, right)
-
-    def test_all_one_side(self):
-        rec = np.zeros(100_000, dtype=CONTINUOUS_RECORD)
-        rec["tid"] = np.arange(len(rec))
-        for fill in (True, False):
-            mask = np.full(len(rec), fill)
-            with cc.native_override("on"), pool.thread_override(4):
-                left, right = K.partition_stable(rec, mask)
-            assert len(left) == (len(rec) if fill else 0)
-            side = left if fill else right
-            np.testing.assert_array_equal(side["tid"], rec["tid"])
+                rows = tree.route_rows(columns, backend="native")
+                votes = forest.predict(columns, backend="native")
+            np.testing.assert_array_equal(rows_ref, rows)
+            np.testing.assert_array_equal(votes_ref, votes)
 
 
 @needs_pool
@@ -215,44 +110,38 @@ class TestPoolMechanics:
         assert set(snap) == {"loaded", "threads", "spawned", "tasks_total"}
         assert snap["loaded"] == 1  # needs_pool already loaded it
 
-    def test_regions_counted(self):
-        rng = np.random.default_rng(11)
-        values = np.sort(rng.random(100_000))
-        classes = rng.integers(0, 3, len(values)).astype(np.int32)
-        offsets = np.array([0, len(values)], dtype=np.int64)
+    def test_regions_counted(self, model):
+        columns = _columns(model, 100_000, seed=11)
         before = pool.stats()["tasks_total"]
         with cc.native_override("on"), pool.thread_override(2):
-            K.segmented_continuous_splits(values, classes, offsets, 3)
+            model[1].route_rows(columns, backend="native")
         assert pool.stats()["tasks_total"] > before
 
-    def test_helpers_spawn_lazily_and_persist(self):
-        rng = np.random.default_rng(12)
-        values = np.sort(rng.random(200_000))
-        classes = rng.integers(0, 2, len(values)).astype(np.int32)
-        offsets = np.array([0, len(values)], dtype=np.int64)
+    def test_helpers_spawn_lazily_and_persist(self, model):
+        columns = _columns(model, 50_000, seed=12)
         with cc.native_override("on"), pool.thread_override(2):
-            K.segmented_continuous_splits(values, classes, offsets, 2)
+            model[2].predict(columns, backend="native")
             # 2 lanes = caller + >=1 persistent helper.
             assert pool.stats()["spawned"] >= 1
 
-    def test_concurrent_python_callers_serialize_safely(self):
+    def test_concurrent_python_callers_serialize_safely(self, model):
         # Two Python threads hitting parallel kernels at once must queue
         # on the single job slot, not corrupt each other's results.
-        rng = np.random.default_rng(13)
-        values = np.sort(rng.random(150_000))
-        classes = rng.integers(0, 4, len(values)).astype(np.int32)
-        offsets = np.array([0, len(values)], dtype=np.int64)
+        _, tree, forest = model
+        columns = _columns(model, 60_000, seed=13)
         with cc.native_override("off"):
-            ref = K.segmented_continuous_splits(values, classes, offsets, 4)
+            rows_ref = tree.route_rows(columns)
+            votes_ref = forest.predict(columns)
         results = [None] * 4
         errors = []
 
         def run(i):
             try:
                 with cc.native_override("on"):
-                    results[i] = K.segmented_continuous_splits(
-                        values, classes, offsets, 4
-                    )
+                    if i % 2:
+                        results[i] = forest.predict(columns, backend="native")
+                    else:
+                        results[i] = tree.route_rows(columns, backend="native")
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -266,23 +155,21 @@ class TestPoolMechanics:
             for t in threads:
                 t.join()
         assert not errors
-        for got in results:
-            _identical_candidates(ref, got)
+        for i, got in enumerate(results):
+            np.testing.assert_array_equal(votes_ref if i % 2 else rows_ref, got)
 
 
 @needs_pool
 class TestGilOverlap:
-    def test_main_thread_ticks_during_threaded_scan(self):
+    def test_main_thread_ticks_during_threaded_forest(self, model):
         # The parallel region must run with the GIL dropped: while the
-        # pool chews a multi-block scan, the interpreter keeps
+        # pool chews a multi-block forest vote, the interpreter keeps
         # scheduling this thread.  Works even on one core — a
         # GIL-holding kernel would freeze the tick loop for the whole
         # call.
-        n, ncls = 1 << 22, 64
-        values = np.arange(n, dtype=np.float64)
-        classes = (np.arange(n, dtype=np.int64) % ncls).astype(np.int32)
-        offsets = np.array([0, n], dtype=np.int64)
-        nat = native.kernels()
+        forest = model[2]
+        columns = _columns(model, 400_000, seed=14)
+        kernel = cnative.native_kernel()
 
         def solo_rate():
             ticks, t0 = 0, time.monotonic()
@@ -295,7 +182,7 @@ class TestGilOverlap:
 
         def worker():
             with pool.thread_override(2):
-                nat.continuous_splits(values, classes, offsets, ncls)
+                kernel.predict_forest(forest, columns, 400_000)
             done.set()
 
         t = threading.Thread(target=worker)
@@ -306,5 +193,5 @@ class TestGilOverlap:
             ticks += 1
         duration = time.monotonic() - start
         t.join()
-        assert duration > 0.01, "scan too fast to observe; enlarge input"
+        assert duration > 0.01, "vote too fast to observe; enlarge input"
         assert ticks > rate * duration * 0.02
