@@ -1,7 +1,7 @@
 # Developer entry points.  Everything also works as plain pytest/pip
 # commands; these are just the short spellings.
 
-.PHONY: install test bench bench-full bench-kernels bench-wallclock bench-predict bench-build-native bench-shard bench-serve bench-forest bench-native-threads check-schemas check-regression examples trace-demo top-demo clean
+.PHONY: install test bench bench-full check-regression examples trace-demo top-demo clean
 
 install:
 	pip install -e .
@@ -17,62 +17,18 @@ bench:
 bench-full:
 	REPRO_BENCH_RECORDS=250000 pytest benchmarks/ --benchmark-only
 
-# Wall-clock before/after comparison of the level-batched E/W/S kernels;
-# writes BENCH_kernels.json (schema bench_kernels/1).
-bench-kernels:
-	PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_kernels.json
+# Run one benchmark suite, benchmarks/bench_<name>.py, and write its
+# document BENCH_<name>.json if every gate passes: `make bench-kernels`,
+# `make bench-wallclock`, `make bench-predict`, `make bench-build-native`,
+# `make bench-shard`, `make bench-serve`, `make bench-forest`,
+# `make bench-native-threads`.
+bench-%:
+	PYTHONPATH=src python benchmarks/bench_$(subst -,_,$*).py
 
-# Serial-vs-N-thread wall-clock builds on the real-thread backend, raw
-# and paced modes, with per-config tree checks against the virtual
-# build; writes BENCH_wallclock.json (schema bench_wallclock/1).
-bench-wallclock:
-	PYTHONPATH=src python benchmarks/bench_wallclock.py --out BENCH_wallclock.json
-
-# Batch inference on the compiled flat-tree IR (numpy + native backends
-# and the micro-batching engine) against the recursive oracle, with
-# per-config bit-identity checks; writes BENCH_predict.json (schema
-# bench_predict/1).
-bench-predict:
-	PYTHONPATH=src python benchmarks/bench_predict.py --out BENCH_predict.json
-
-# Native-vs-numpy training kernels (C split scan, categorical counts,
-# partition, probe membership) plus raw-threads build scaling, with
-# per-config tree checks; writes BENCH_build_native.json (schema
-# bench_build_native/1).
-bench-build-native:
-	PYTHONPATH=src python benchmarks/bench_build_native.py --out BENCH_build_native.json
-
-# Sharded multi-process build: shards x merge-mode x raw/paced; writes
-# BENCH_shard.json (schema bench_shard/1).
-bench-shard:
-	PYTHONPATH=src python benchmarks/bench_shard.py --out BENCH_shard.json
-
-# Serving-tier load generator: open/closed-loop latency over real TCP
-# plus the zero-lost hot-swap-under-load proof; writes BENCH_serve.json
-# (schema bench_serve/1).
-bench-serve:
-	PYTHONPATH=src python benchmarks/bench_serve.py --out BENCH_serve.json
-
-# Forest inference: the fused multi-tree native walker vs per-tree
-# loops plus bagged-forest vs single-tree held-out accuracy; writes
-# BENCH_forest.json (schema bench_forest/1).
-bench-forest:
-	PYTHONPATH=src python benchmarks/bench_forest.py --out BENCH_forest.json
-
-# In-kernel thread scaling: the pthreads worker pool under the scan,
-# partition, and route/forest kernels across a lane sweep, every cell
-# checked bit-identical; writes BENCH_native_threads.json (schema
-# bench_native_threads/1).
-bench-native-threads:
-	PYTHONPATH=src python benchmarks/bench_native_threads.py --out BENCH_native_threads.json
-
-# Validate every committed BENCH_*.json against its declared schema.
-check-schemas:
-	PYTHONPATH=src python benchmarks/check_schemas.py
-
-# Tolerance-banded diff of benchmark documents against the committed
-# baselines (self-check when CURRENT is unset; pass CURRENT=dir/ to
-# gate fresh results).
+# Validate benchmark documents against their suites and diff them,
+# tolerance-banded, against the committed baselines (self-check of the
+# committed documents when CURRENT is unset; pass CURRENT=dir/ to gate
+# fresh results).
 check-regression:
 	PYTHONPATH=src python benchmarks/check_regression.py \
 		$(if $(CURRENT),--current $(CURRENT))

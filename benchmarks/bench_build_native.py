@@ -20,25 +20,13 @@ Two layers, matching the two claims the native kernels make:
    a benchmark that silently benchmarked a different tree would be
    worthless.
 
-Usage::
+Output is a ``bench_build_native/1`` document, written through
+:mod:`suite`::
 
-    PYTHONPATH=src python benchmarks/bench_build_native.py \
-        --out BENCH_build_native.json
-    PYTHONPATH=src python benchmarks/bench_build_native.py --quick
-    PYTHONPATH=src python benchmarks/bench_build_native.py \
-        --validate BENCH_build_native.json
-
-``--quick`` shrinks the sweep for the CI smoke job; ``--validate``
-checks an existing document against the ``bench_build_native/1``
-schema.
+    PYTHONPATH=src python benchmarks/bench_build_native.py
 """
 
-import argparse
-import json
-import os
-import platform
 import sys
-import time
 
 import numpy as np
 
@@ -48,9 +36,10 @@ from repro.data.generator import DatasetSpec, generate_dataset
 from repro.sprint import kernels as K
 from repro.sprint import native
 from repro.sprint.probe import HashProbe
+from repro.smp.cpus import usable_cpus
 from repro.sprint.records import CONTINUOUS_RECORD
+from suite import Ratio, Suite, Table, best_of
 
-SCHEMA = "bench_build_native/1"
 KNOWN_KERNELS = (
     "E.continuous", "E.categorical", "S.partition", "W.membership"
 )
@@ -59,22 +48,16 @@ QUANTIZED_CARD = 32
 CATEGORICAL_CARD = 8
 N_CLASSES = 2
 
-MIN_TIMING_SECONDS = 0.02
-MAX_REPEATS = 200
+#: Floor on the uniform-profile continuous scan at >= 64 leaves, gated
+#: whenever the native kernels are available.
+MIN_CONTINUOUS_SPEEDUP_64PLUS = 2.0
 
-
-def _best_of(fn, repeats):
-    best = float("inf")
-    total = 0.0
-    runs = 0
-    while runs < repeats or (total < MIN_TIMING_SECONDS and runs < MAX_REPEATS):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        total += elapsed
-        runs += 1
-    return best
+DATASETS = [
+    {"name": "F2-10K", "function": 2, "n_attributes": 9, "n_records": 10_000},
+]
+QUICK_DATASETS = [
+    {"name": "F2-2K", "function": 2, "n_attributes": 9, "n_records": 2_000},
+]
 
 
 # -- kernel microbenchmarks ---------------------------------------------------
@@ -103,9 +86,9 @@ def _make_level(rng, records, leaves, profile):
 def _time_both(fn, repeats):
     """(numpy_s, native_s) of the same callable under both gates."""
     with cc.native_override("off"):
-        numpy_s = _best_of(fn, repeats)
+        numpy_s = best_of(fn, repeats)[0]
     with cc.native_override("on"):
-        native_s = _best_of(fn, repeats)
+        native_s = best_of(fn, repeats)[0]
     return numpy_s, native_s
 
 
@@ -176,20 +159,6 @@ def bench_kernels(records_list, leaves_list, repeats, seed):
 # -- end-to-end raw-threads builds --------------------------------------------
 
 
-def _time_build(dataset, threads, repeats):
-    best = float("inf")
-    signature = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = build_classifier(
-            dataset, algorithm="mwk", n_procs=threads,
-            runtime="threads", pace=0.0,
-        )
-        best = min(best, time.perf_counter() - start)
-        signature = result.tree.signature()
-    return best, signature
-
-
 def bench_builds(dataset_specs, threads_list, repeats, seed):
     entries = []
     all_match = True
@@ -210,8 +179,14 @@ def bench_builds(dataset_specs, threads_list, repeats, seed):
             nonlocal all_match
             mode = "on" if backend == "native" else "off"
             with cc.native_override(mode):
-                build_s, signature = _time_build(dataset, threads, repeats)
-            matches = signature == reference
+                build_s, result = best_of(
+                    lambda: build_classifier(
+                        dataset, algorithm="mwk", n_procs=threads,
+                        runtime="threads", pace=0.0,
+                    ),
+                    repeats,
+                )
+            matches = result.tree.signature() == reference
             all_match = all_match and matches
             entries.append({
                 "dataset": spec["name"],
@@ -274,34 +249,19 @@ def summarize(kernel_entries, build_entries, all_match):
         "threads_build_speedup": {
             threads: min(values) for threads, values in scaling.items()
         },
-        "multicore_host": (os.cpu_count() or 1) >= 2,
+        "multicore_host": usable_cpus() >= 2,
         "all_trees_match": all_match,
     }
 
 
-def run_benchmarks(records_list, leaves_list, dataset_specs, threads_list,
-                   repeats, seed):
-    kernel_entries = bench_kernels(records_list, leaves_list, repeats, seed)
-    build_entries, all_match = bench_builds(
-        dataset_specs, threads_list, repeats, seed
-    )
+def run(records, leaves, datasets, threads, repeats, seed):
+    if not native.native_available():
+        raise SystemExit(
+            "native kernels unavailable (no C compiler?); nothing to benchmark"
+        )
+    kernel_entries = bench_kernels(records, leaves, repeats, seed)
+    build_entries, all_match = bench_builds(datasets, threads, repeats, seed)
     return {
-        "schema": SCHEMA,
-        "config": {
-            "records": list(records_list),
-            "leaves": list(leaves_list),
-            "datasets": list(dataset_specs),
-            "threads": list(threads_list),
-            "repeats": repeats,
-            "seed": seed,
-        },
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": os.cpu_count(),
-            "compiler": cc.find_compiler(),
-        },
         "results": {
             "kernels": kernel_entries,
             "builds": build_entries,
@@ -310,147 +270,65 @@ def run_benchmarks(records_list, leaves_list, dataset_specs, threads_list,
     }
 
 
-def validate_bench_doc(doc):
-    """Schema check for ``bench_build_native/1``; raises ValueError."""
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ValueError(f"schema must be {SCHEMA!r}")
-    for section in ("config", "env", "results", "summary"):
-        if section not in doc:
-            raise ValueError(f"missing section {section!r}")
-    results = doc["results"]
-    for part in ("kernels", "builds"):
-        if not isinstance(results.get(part), list) or not results[part]:
-            raise ValueError(f"results.{part} must be a non-empty list")
-    for i, e in enumerate(results["kernels"]):
-        for key in ("kernel", "profile", "records", "leaves",
-                    "numpy_s", "native_s", "speedup"):
-            if key not in e:
-                raise ValueError(f"results.kernels[{i}] missing {key!r}")
-        if e["kernel"] not in KNOWN_KERNELS:
-            raise ValueError(
-                f"results.kernels[{i}] unknown kernel {e['kernel']!r}"
-            )
-        for key in ("numpy_s", "native_s"):
-            if not (isinstance(e[key], (int, float)) and e[key] > 0):
-                raise ValueError(f"results.kernels[{i}].{key} must be > 0")
-        expected = e["numpy_s"] / e["native_s"]
-        if abs(e["speedup"] - expected) > 1e-9 * max(expected, 1.0):
-            raise ValueError(f"results.kernels[{i}].speedup inconsistent")
-    for i, e in enumerate(results["builds"]):
-        for key in ("dataset", "backend", "threads", "build_s",
-                    "tree_matches"):
-            if key not in e:
-                raise ValueError(f"results.builds[{i}] missing {key!r}")
-        if e["backend"] not in ("numpy", "native"):
-            raise ValueError(
-                f"results.builds[{i}] unknown backend {e['backend']!r}"
-            )
+def check_floors(doc):
+    """The native speedup floors, armed only where they are attainable.
+
+    The continuous-scan floor holds whenever the C kernels ran; build
+    thread scaling must beat one thread only on a multi-core host, and
+    single-core hosts record it report-only.
+    """
     summary = doc["summary"]
-    if summary.get("all_trees_match") is not True:
-        raise ValueError("summary.all_trees_match must be true")
-    if summary.get("native_available"):
-        floor = summary.get("min_continuous_speedup_64plus")
-        if not (isinstance(floor, (int, float)) and floor >= 2.0):
-            raise ValueError(
-                "summary.min_continuous_speedup_64plus must be >= 2.0 when "
-                f"native kernels are available, got {floor!r}"
-            )
-        # Thread scaling is only an acceptance gate on multi-core hosts;
-        # single-core containers record it report-only.
-        if summary.get("multicore_host"):
-            for threads, speedup in summary["threads_build_speedup"].items():
-                if not speedup > 1.0:
-                    raise ValueError(
-                        f"threads_build_speedup[{threads}] must be > 1.0 on "
-                        f"a multi-core host, got {speedup}"
-                    )
+    if not summary.get("native_available"):
+        return
+    floor = summary.get("min_continuous_speedup_64plus")
+    if not (isinstance(floor, (int, float))
+            and floor >= MIN_CONTINUOUS_SPEEDUP_64PLUS):
+        raise ValueError(
+            "summary.min_continuous_speedup_64plus must be >= "
+            f"{MIN_CONTINUOUS_SPEEDUP_64PLUS} when native kernels are "
+            f"available, got {floor!r}"
+        )
+    if summary.get("multicore_host"):
+        for threads, speedup in summary["threads_build_speedup"].items():
+            if not speedup > 1.0:
+                raise ValueError(
+                    f"threads_build_speedup[{threads}] must be > 1.0 on "
+                    f"a multi-core host, got {speedup}"
+                )
 
 
-def _print_report(doc):
-    header = (f"{'kernel':<14} {'profile':<10} {'records':>8} {'leaves':>7} "
-              f"{'numpy (ms)':>11} {'native (ms)':>12} {'speedup':>8}")
-    print(header)
-    print("-" * len(header))
-    for e in doc["results"]["kernels"]:
-        print(f"{e['kernel']:<14} {e['profile']:<10} {e['records']:>8} "
-              f"{e['leaves']:>7} {e['numpy_s'] * 1e3:>11.3f} "
-              f"{e['native_s'] * 1e3:>12.3f} {e['speedup']:>7.2f}x")
-    print()
-    header = (f"{'dataset':<10} {'backend':<8} {'threads':>7} "
-              f"{'build (s)':>10} {'tree ok':>8}")
-    print(header)
-    print("-" * len(header))
-    for e in doc["results"]["builds"]:
-        print(f"{e['dataset']:<10} {e['backend']:<8} {e['threads']:>7} "
-              f"{e['build_s']:>10.3f} {str(e['tree_matches']):>8}")
-    summary = doc["summary"]
-    print()
-    floor = summary["min_continuous_speedup_64plus"]
-    if floor is not None:
-        print(f"continuous scan at >=64 leaves (uniform): >= {floor:.2f}x")
-    if summary["single_thread_build_speedup"] is not None:
-        print(f"single-thread raw build: "
-              f"{summary['single_thread_build_speedup']:.2f}x vs numpy")
-    for threads, speedup in sorted(summary["threads_build_speedup"].items()):
-        tag = "" if summary["multicore_host"] else " (single-core host, report-only)"
-        print(f"native raw build at {threads} threads: {speedup:.2f}x vs 1{tag}")
-
-
-DATASETS = (
-    {"name": "F2-10K", "function": 2, "n_attributes": 9, "n_records": 10_000},
+SUITE = Suite(
+    schema="bench_build_native/1",
+    run=run,
+    full=dict(records=[16384, 131072], leaves=[1, 16, 64, 256],
+              datasets=DATASETS, threads=[1, 2, 4], repeats=5, seed=0),
+    quick=dict(records=[16384], leaves=[1, 64], datasets=QUICK_DATASETS,
+               threads=[1, 2], repeats=1, seed=0),
+    tables=(
+        Table(
+            path=("results", "kernels"),
+            key=("kernel", "profile", "records", "leaves"),
+            required=("kernel", "profile", "records", "leaves",
+                      "numpy_s", "native_s", "speedup"),
+            enums={"kernel": KNOWN_KERNELS},
+            positive=("numpy_s", "native_s"),
+            ratios=(Ratio("speedup", "numpy_s", "native_s"),),
+            metrics=(("speedup", "higher"),),
+        ),
+        Table(
+            path=("results", "builds"),
+            key=("dataset", "backend", "threads"),
+            required=("dataset", "backend", "threads", "build_s",
+                      "tree_matches"),
+            enums={"backend": ("numpy", "native")},
+            metrics=(("build_s", "lower"), ("tree_matches", "bool")),
+        ),
+    ),
+    summary_true=("all_trees_match",),
+    summary_metrics=(("all_trees_match", "bool"),),
+    checks=(check_floors,),
 )
-QUICK_DATASETS = (
-    {"name": "F2-2K", "function": 2, "n_attributes": 9, "n_records": 2_000},
-)
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Native-vs-numpy benchmark of the C training kernels."
-    )
-    parser.add_argument("--records", type=int, nargs="+",
-                        default=[16384, 131072])
-    parser.add_argument("--leaves", type=int, nargs="+",
-                        default=[1, 16, 64, 256])
-    parser.add_argument("--threads", type=int, nargs="+", default=[1, 2, 4],
-                        help="thread counts for the raw-threads build sweep")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="shrink the sweep for CI smoke runs")
-    parser.add_argument("--out", default="BENCH_build_native.json")
-    parser.add_argument("--validate", metavar="FILE",
-                        help="validate an existing document and exit")
-    args = parser.parse_args(argv)
-
-    if args.validate:
-        with open(args.validate) as handle:
-            validate_bench_doc(json.load(handle))
-        print(f"{args.validate}: valid {SCHEMA} document")
-        return 0
-
-    if not native.native_available():
-        print("native kernels unavailable (no C compiler?); nothing to "
-              "benchmark", file=sys.stderr)
-        return 1
-
-    if args.quick:
-        records, leaves = [16384], [1, 64]
-        datasets, threads, repeats = QUICK_DATASETS, [1, 2], 1
-    else:
-        records, leaves = args.records, args.leaves
-        datasets, threads, repeats = DATASETS, args.threads, args.repeats
-
-    doc = run_benchmarks(records, leaves, datasets, threads, repeats,
-                         args.seed)
-    validate_bench_doc(doc)
-    with open(args.out, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    _print_report(doc)
-    print(f"\nwrote {args.out}")
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(SUITE.main())

@@ -17,8 +17,9 @@ inputs:
 * **fused** — the forest kernel's single C call: tree-major blocked
   8-lane interleaved walk with in-C vote accumulation and argmax.
 
-Every timed prediction is compared against the oracle — the run aborts
-on any mismatch, so the numbers always describe bit-identical results.
+Every timed prediction is compared against the oracle; any mismatch
+fails the document's gate (it is not written), so the numbers always
+describe bit-identical results.
 The headline number is ``summary.fused_speedup_vs_pertree_at_32x64k``:
 how much the fused walker beats the per-tree native loop at 32 trees on
 a 65536-row batch.
@@ -27,17 +28,11 @@ a 65536-row batch.
 Quest F2 (simple) and F7 (complex) splits, recording test accuracy per
 tree count — the classic variance-reduction curve.
 
-Usage::
+Output is a ``bench_forest/1`` document, written through :mod:`suite`::
 
-    PYTHONPATH=src python benchmarks/bench_forest.py --out BENCH_forest.json
-
-``--validate FILE`` checks an existing document's schema (used by the
-CI smoke job); ``--quick`` shrinks the matrix for smoke runs.
+    PYTHONPATH=src python benchmarks/bench_forest.py
 """
 
-import argparse
-import json
-import platform
 import sys
 import time
 
@@ -52,24 +47,17 @@ from repro.core.builder import build_classifier
 from repro.data.generator import DatasetSpec, generate_dataset
 from repro.data.schema import Attribute, AttributeKind, Schema
 from repro.ensemble import train_forest
+from suite import Ratio, Suite, Table, best_of
 
-SCHEMA = "bench_forest/1"
 BACKENDS = ("oracle", "numpy", "pertree", "fused")
 
-TREE_COUNTS = (1, 8, 32)
-BATCH_SIZES = (8192, 65536)
-ACCURACY_DATASETS = (
+ACCURACY_DATASETS = [
     {"name": "quest-f2", "function": 2, "n_records": 8000},
     {"name": "quest-f7", "function": 7, "n_records": 8000},
-)
-ACCURACY_TREE_COUNTS = (1, 8, 32)
-
-QUICK_TREE_COUNTS = (1, 4)
-QUICK_BATCH_SIZES = (2048,)
-QUICK_ACCURACY_DATASETS = (
+]
+QUICK_ACCURACY_DATASETS = [
     {"name": "quest-f2", "function": 2, "n_records": 1200},
-)
-QUICK_ACCURACY_TREE_COUNTS = (1, 4)
+]
 
 #: Member-tree shape for the routing section: deep enough that routing
 #: dominates, with a couple of categorical attributes so the bitmask
@@ -86,16 +74,6 @@ def _routing_schema():
         Attribute(f"k{i}", AttributeKind.CATEGORICAL, 16) for i in range(2)
     ]
     return Schema(attrs, class_names=("A", "B", "C"))
-
-
-def _best_of(fn, repeats):
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, out
 
 
 def _pertree_native(members, columns, n_classes):
@@ -128,19 +106,19 @@ def run_routing(tree_counts, batch_sizes, repeats, seed):
         forest = compile_forest(trees[:n_trees])
         for batch in batch_sizes:
             columns = random_columns(schema, batch, seed=seed + batch)
-            oracle_s, want = _best_of(
+            oracle_s, want = best_of(
                 lambda: predict_forest_oracle(trees[:n_trees], columns),
                 repeats,
             )
             timings = {"oracle": oracle_s}
-            numpy_s, got = _best_of(
+            numpy_s, got = best_of(
                 lambda: forest.predict(columns, backend="numpy"), repeats
             )
             timings["numpy"] = numpy_s
             if not np.array_equal(got, want):
                 mismatches.append((n_trees, batch, "numpy"))
             if have_native:
-                pertree_s, got = _best_of(
+                pertree_s, got = best_of(
                     lambda: _pertree_native(
                         members, columns, forest.n_classes
                     ),
@@ -149,7 +127,7 @@ def run_routing(tree_counts, batch_sizes, repeats, seed):
                 timings["pertree"] = pertree_s
                 if not np.array_equal(got, want):
                     mismatches.append((n_trees, batch, "pertree"))
-                fused_s, got = _best_of(
+                fused_s, got = best_of(
                     lambda: forest.predict(columns, backend="native"),
                     repeats,
                 )
@@ -218,12 +196,12 @@ def run_accuracy(dataset_specs, tree_counts, seed):
     return results
 
 
-def run_benchmarks(tree_counts, batch_sizes, accuracy_specs,
-                   accuracy_tree_counts, repeats, seed):
+def run(tree_counts, batch_sizes, accuracy_datasets, accuracy_tree_counts,
+        repeats, seed):
     routing, mismatches = run_routing(
         tree_counts, batch_sizes, repeats, seed
     )
-    acc = run_accuracy(accuracy_specs, accuracy_tree_counts, seed)
+    acc = run_accuracy(accuracy_datasets, accuracy_tree_counts, seed)
     headline = [
         e for e in routing
         if e["backend"] == "fused"
@@ -234,26 +212,9 @@ def run_benchmarks(tree_counts, batch_sizes, accuracy_specs,
         (e for e in acc), key=lambda e: e["accuracy_delta"], default=None
     )
     return {
-        "schema": SCHEMA,
-        "config": {
-            "tree_counts": list(tree_counts),
-            "batch_sizes": list(batch_sizes),
-            "member_depth": MEMBER_DEPTH,
-            "member_leaf_prob": MEMBER_LEAF_PROB,
-            "accuracy_datasets": [dict(s) for s in accuracy_specs],
-            "accuracy_tree_counts": list(accuracy_tree_counts),
-            "repeats": repeats,
-            "seed": seed,
-            "native_available": native_available(),
-        },
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": __import__("os").cpu_count(),
-        },
         "results": routing + acc,
         "summary": {
+            "native_available": native_available(),
             "all_outputs_match_oracle": not mismatches,
             "fused_speedup_vs_pertree_at_32x64k": (
                 headline[0]["speedup_vs_pertree"] if headline else None
@@ -271,145 +232,61 @@ def run_benchmarks(tree_counts, batch_sizes, accuracy_specs,
                 else None
             ),
         },
-    }, mismatches
+    }
 
 
-def validate_bench_doc(doc):
-    """Schema check for a ``bench_forest/1`` document; raises ValueError."""
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ValueError(f"schema must be {SCHEMA!r}")
-    for section in ("config", "env", "results", "summary"):
-        if section not in doc:
-            raise ValueError(f"missing section {section!r}")
-    if not isinstance(doc["results"], list) or not doc["results"]:
-        raise ValueError("results must be a non-empty list")
-    saw_route = saw_accuracy = False
-    for i, entry in enumerate(doc["results"]):
-        kind = entry.get("kind")
-        if kind == "route":
-            saw_route = True
-            for key in ("n_trees", "n_nodes", "backend", "batch",
-                        "seconds", "rows_per_s", "speedup_vs_oracle",
-                        "speedup_vs_pertree"):
-                if key not in entry:
-                    raise ValueError(f"results[{i}] missing {key!r}")
-            if entry["backend"] not in BACKENDS:
-                raise ValueError(
-                    f"results[{i}] unknown backend {entry['backend']!r}"
-                )
-            if not (isinstance(entry["seconds"], (int, float))
-                    and entry["seconds"] > 0):
-                raise ValueError(f"results[{i}].seconds must be positive")
-            expected = entry["batch"] / entry["seconds"]
-            if abs(entry["rows_per_s"] - expected) > 1e-6 * max(
-                expected, 1.0
-            ):
-                raise ValueError(f"results[{i}].rows_per_s inconsistent")
-        elif kind == "accuracy":
-            saw_accuracy = True
-            for key in ("dataset", "n_trees", "forest_accuracy",
-                        "single_tree_accuracy", "accuracy_delta"):
-                if key not in entry:
-                    raise ValueError(f"results[{i}] missing {key!r}")
-            for key in ("forest_accuracy", "single_tree_accuracy"):
-                if not 0.0 <= entry[key] <= 1.0:
-                    raise ValueError(
-                        f"results[{i}].{key} outside [0, 1]"
-                    )
-        else:
-            raise ValueError(f"results[{i}] unknown kind {kind!r}")
-    if not saw_route or not saw_accuracy:
-        raise ValueError("document needs both route and accuracy rows")
-    if doc["summary"].get("all_outputs_match_oracle") is not True:
-        raise ValueError("summary.all_outputs_match_oracle must be true")
-
-
-def _print_table(doc):
-    header = (f"{'trees':>5} {'nodes':>6} {'backend':<8} {'batch':>7} "
-              f"{'time (ms)':>10} {'rows/s':>12} {'vs oracle':>9} "
-              f"{'vs pertree':>10}")
-    print(header)
-    print("-" * len(header))
-    for e in doc["results"]:
-        if e["kind"] != "route":
-            continue
-        vs_pertree = (
-            f"{e['speedup_vs_pertree']:>9.2f}x"
-            if e["speedup_vs_pertree"] is not None
-            else f"{'-':>10}"
-        )
-        print(f"{e['n_trees']:>5} {e['n_nodes']:>6} {e['backend']:<8} "
-              f"{e['batch']:>7} {e['seconds'] * 1e3:>10.2f} "
-              f"{e['rows_per_s']:>12,.0f} "
-              f"{e['speedup_vs_oracle']:>8.2f}x {vs_pertree}")
-    print()
-    header = (f"{'dataset':<10} {'trees':>5} {'forest acc':>10} "
-              f"{'single acc':>10} {'delta':>8} {'train (s)':>9}")
-    print(header)
-    print("-" * len(header))
-    for e in doc["results"]:
-        if e["kind"] != "accuracy":
-            continue
-        print(f"{e['dataset']:<10} {e['n_trees']:>5} "
-              f"{e['forest_accuracy']:>10.4f} "
-              f"{e['single_tree_accuracy']:>10.4f} "
-              f"{e['accuracy_delta']:>+8.4f} {e['train_s']:>9.2f}")
-    summary = doc["summary"]
-    if summary["fused_speedup_vs_pertree_at_32x64k"] is not None:
-        print(f"\nfused walker vs per-tree native loop at "
-              f"{max(doc['config']['tree_counts'])} trees x "
-              f"{max(doc['config']['batch_sizes'])} rows: "
-              f"{summary['fused_speedup_vs_pertree_at_32x64k']:.2f}x")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Forest inference benchmark "
-                    "(oracle vs numpy vs per-tree native vs fused)."
-    )
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="best-of-N timing repeats")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--quick", action="store_true",
-                        help="small matrix for CI smoke")
-    parser.add_argument("--out", default="BENCH_forest.json",
-                        help="output JSON path")
-    parser.add_argument("--validate", metavar="FILE",
-                        help="validate an existing document and exit")
-    args = parser.parse_args(argv)
-
-    if args.validate:
-        with open(args.validate) as handle:
-            validate_bench_doc(json.load(handle))
-        print(f"{args.validate}: valid {SCHEMA} document")
-        return 0
-
-    if args.quick:
-        tree_counts, batches = QUICK_TREE_COUNTS, QUICK_BATCH_SIZES
-        acc_specs = QUICK_ACCURACY_DATASETS
-        acc_trees = QUICK_ACCURACY_TREE_COUNTS
-        repeats = 2
-    else:
-        tree_counts, batches = TREE_COUNTS, BATCH_SIZES
-        acc_specs = ACCURACY_DATASETS
-        acc_trees = ACCURACY_TREE_COUNTS
-        repeats = args.repeats
-    doc, mismatches = run_benchmarks(
-        tree_counts, batches, acc_specs, acc_trees, repeats, args.seed
-    )
-    if mismatches:
-        for n_trees, batch, backend in mismatches:
-            print(f"OUTPUT MISMATCH: trees={n_trees} batch={batch} "
-                  f"{backend}", file=sys.stderr)
-        return 1
-    validate_bench_doc(doc)
-    with open(args.out, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    _print_table(doc)
-    print(f"\nwrote {args.out}")
-    return 0
+SUITE = Suite(
+    schema="bench_forest/1",
+    run=run,
+    full=dict(tree_counts=[1, 8, 32], batch_sizes=[8192, 65536],
+              accuracy_datasets=ACCURACY_DATASETS,
+              accuracy_tree_counts=[1, 8, 32], repeats=5, seed=7),
+    quick=dict(tree_counts=[1, 4], batch_sizes=[2048],
+               accuracy_datasets=QUICK_ACCURACY_DATASETS,
+               accuracy_tree_counts=[1, 4], repeats=2, seed=7),
+    tables=(
+        Table(
+            where={"kind": "route"},
+            key=("kind", "n_trees", "backend", "batch"),
+            required=("n_trees", "n_nodes", "backend", "batch", "seconds",
+                      "rows_per_s", "speedup_vs_oracle",
+                      "speedup_vs_pertree"),
+            enums={"backend": BACKENDS},
+            positive=("seconds",),
+            ratios=(Ratio("rows_per_s", "batch", "seconds", tol=1e-6),),
+            metrics=(
+                ("speedup_vs_oracle", "higher"),
+                # The fused-walker headline: a regression here means
+                # the multi-tree kernel lost its edge over routing
+                # the member trees one at a time.
+                ("speedup_vs_pertree", "higher"),
+            ),
+        ),
+        Table(
+            where={"kind": "accuracy"},
+            key=("kind", "dataset", "n_trees"),
+            required=("dataset", "n_trees", "forest_accuracy",
+                      "single_tree_accuracy", "accuracy_delta"),
+            within={
+                "forest_accuracy": (0.0, 1.0),
+                "single_tree_accuracy": (0.0, 1.0),
+            },
+            metrics=(
+                # Held-out accuracy is deterministic per seed; drift
+                # means training or voting changed behavior, not the
+                # host.
+                ("forest_accuracy", "higher"),
+                ("single_tree_accuracy", "higher"),
+            ),
+        ),
+    ),
+    summary_true=("all_outputs_match_oracle",),
+    summary_metrics=(
+        ("all_outputs_match_oracle", "bool"),
+        ("fused_speedup_vs_pertree_at_32x64k", "higher"),
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(SUITE.main())

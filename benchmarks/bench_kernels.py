@@ -7,21 +7,16 @@ list construction, probe-based splitting and vectorized prediction.
 
 Run as a script for the level-batched before/after comparison::
 
-    PYTHONPATH=src python benchmarks/bench_kernels.py --out BENCH_kernels.json
+    PYTHONPATH=src python benchmarks/bench_kernels.py
 
 which times each kernel the record-at-a-time way (one Python call per
 leaf, set-based probes, double boolean-index partitions) against the
-batched path in :mod:`repro.sprint.kernels`
-across leaf counts and dataset sizes, and writes a ``bench_kernels/1``
-JSON document.  ``--validate FILE`` checks such a document's schema
-(used by the CI smoke job).
+batched path in :mod:`repro.sprint.kernels` across leaf counts and
+dataset sizes, and writes a ``bench_kernels/1`` document
+(``BENCH_kernels.json``) through :mod:`suite`.
 """
 
-import argparse
-import json
-import platform
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -31,8 +26,6 @@ from repro.classify.predict import predict
 from repro.core.builder import build_classifier
 from repro.data.schema import Attribute, AttributeKind
 from repro.sprint.attribute_list import build_attribute_list
-from repro.smp.cpus import available_cpus
-from repro.sprint import native
 from repro.sprint.gini import best_categorical_split, best_continuous_split
 from repro.sprint.kernels import (
     concat_field,
@@ -44,6 +37,7 @@ from repro.sprint.kernels import (
 from repro.sprint.probe import BitProbe, HashProbe
 from repro.sprint.records import CONTINUOUS_RECORD
 from repro.sprint.splitter import split_records
+from suite import Ratio, Suite, Table, best_of
 
 N = 100_000
 RNG = np.random.default_rng(0)
@@ -97,7 +91,6 @@ def test_vectorized_predict(benchmark):
 
 # -- wall-clock before/after mode (python benchmarks/bench_kernels.py) --------
 
-SCHEMA = "bench_kernels/1"
 KNOWN_KERNELS = ("E.continuous", "E.categorical", "S.partition", "W.probe")
 #: Distinct values of the "quantized" profile — low-cardinality
 #: continuous attributes, as in the Quest generator's function fields,
@@ -123,27 +116,6 @@ class _SetProbe:
         return np.fromiter(
             (int(t) in self._tids for t in tids), dtype=bool, count=len(tids)
         )
-
-
-#: Keep timing a case until this much total time has elapsed (or the
-#: repeat cap is hit) — sub-millisecond cases need many repeats before
-#: the best-of is stable on a shared machine.
-MIN_TIMING_SECONDS = 0.02
-MAX_REPEATS = 200
-
-
-def _best_of(fn, repeats):
-    best = float("inf")
-    total = 0.0
-    runs = 0
-    while runs < repeats or (total < MIN_TIMING_SECONDS and runs < MAX_REPEATS):
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        total += elapsed
-        runs += 1
-    return best
 
 
 def _make_level(rng, records, leaves, profile):
@@ -183,7 +155,7 @@ def bench_continuous(rng, records, leaves, repeats, profile):
         )
 
     assert [repr(c) for c in before()] == [repr(c) for c in after()]
-    return _best_of(before, repeats), _best_of(after, repeats)
+    return best_of(before, repeats)[0], best_of(after, repeats)[0]
 
 
 def bench_categorical(rng, records, leaves, repeats):
@@ -210,7 +182,7 @@ def bench_categorical(rng, records, leaves, repeats):
         )
 
     assert [repr(c) for c in before()] == [repr(c) for c in after()]
-    return _best_of(before, repeats), _best_of(after, repeats)
+    return best_of(before, repeats)[0], best_of(after, repeats)[0]
 
 
 def bench_partition(rng, records, leaves, repeats):
@@ -230,7 +202,7 @@ def bench_partition(rng, records, leaves, repeats):
 
     for (bl, br), (al, ar) in zip(before(), after()):
         assert np.array_equal(bl, al) and np.array_equal(br, ar)
-    return _best_of(before, repeats), _best_of(after, repeats)
+    return best_of(before, repeats)[0], best_of(after, repeats)[0]
 
 
 def bench_probe(rng, records, leaves, repeats):
@@ -245,57 +217,45 @@ def bench_probe(rng, records, leaves, repeats):
 
     assert np.array_equal(run(_SetProbe()), run(HashProbe()))
     return (
-        _best_of(lambda: run(_SetProbe()), repeats),
-        _best_of(lambda: run(HashProbe()), repeats),
+        best_of(lambda: run(_SetProbe()), repeats)[0],
+        best_of(lambda: run(HashProbe()), repeats)[0],
     )
 
 
-def run_benchmarks(records_list, leaves_list, repeats, seed):
+def run(records, leaves, repeats, seed):
     results = []
-    for records in records_list:
-        for leaves in leaves_list:
-            if leaves > records // 2:
+    for n_records in records:
+        for n_leaves in leaves:
+            if n_leaves > n_records // 2:
                 continue
             rng = np.random.default_rng(seed)
             for profile in ("uniform", "quantized"):
                 before_s, after_s = bench_continuous(
-                    rng, records, leaves, repeats, profile
+                    rng, n_records, n_leaves, repeats, profile
                 )
                 results.append(
-                    _entry("E.continuous", profile, records, leaves,
+                    _entry("E.continuous", profile, n_records, n_leaves,
                            before_s, after_s)
                 )
-            before_s, after_s = bench_categorical(rng, records, leaves, repeats)
+            before_s, after_s = bench_categorical(
+                rng, n_records, n_leaves, repeats
+            )
             results.append(
-                _entry("E.categorical", "uniform", records, leaves,
+                _entry("E.categorical", "uniform", n_records, n_leaves,
                        before_s, after_s)
             )
-            before_s, after_s = bench_partition(rng, records, leaves, repeats)
+            before_s, after_s = bench_partition(
+                rng, n_records, n_leaves, repeats
+            )
             results.append(
-                _entry("S.partition", "uniform", records, leaves,
+                _entry("S.partition", "uniform", n_records, n_leaves,
                        before_s, after_s)
             )
         rng = np.random.default_rng(seed)
-        before_s, after_s = bench_probe(rng, records, 1, repeats)
-        results.append(_entry("W.probe", "uniform", records, 1,
+        before_s, after_s = bench_probe(rng, n_records, 1, repeats)
+        results.append(_entry("W.probe", "uniform", n_records, 1,
                               before_s, after_s))
-    return {
-        "schema": SCHEMA,
-        "config": {
-            "records": list(records_list),
-            "leaves": list(leaves_list),
-            "repeats": repeats,
-            "seed": seed,
-        },
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "available_cpus": available_cpus(),
-            "native_kernels": native.active_kernels() is not None,
-        },
-        "results": results,
-    }
+    return {"results": results}
 
 
 def _entry(kernel, profile, records, leaves, before_s, after_s):
@@ -310,76 +270,25 @@ def _entry(kernel, profile, records, leaves, before_s, after_s):
     }
 
 
-def validate_bench_doc(doc):
-    """Schema check for a ``bench_kernels/1`` document; raises ValueError."""
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ValueError(f"schema must be {SCHEMA!r}")
-    for section in ("config", "env", "results"):
-        if section not in doc:
-            raise ValueError(f"missing section {section!r}")
-    if not isinstance(doc["results"], list) or not doc["results"]:
-        raise ValueError("results must be a non-empty list")
-    for i, entry in enumerate(doc["results"]):
-        for key in ("kernel", "profile", "records", "leaves",
-                    "before_s", "after_s", "speedup"):
-            if key not in entry:
-                raise ValueError(f"results[{i}] missing {key!r}")
-        if entry["kernel"] not in KNOWN_KERNELS:
-            raise ValueError(f"results[{i}] unknown kernel {entry['kernel']!r}")
-        for key in ("before_s", "after_s"):
-            if not (isinstance(entry[key], (int, float)) and entry[key] > 0):
-                raise ValueError(f"results[{i}].{key} must be positive")
-        expected = entry["before_s"] / entry["after_s"]
-        if abs(entry["speedup"] - expected) > 1e-9 * max(expected, 1.0):
-            raise ValueError(f"results[{i}].speedup inconsistent")
-
-
-def _print_table(doc):
-    header = (f"{'kernel':<14} {'profile':<10} {'records':>8} {'leaves':>7} "
-              f"{'before (ms)':>12} {'after (ms)':>11} {'speedup':>8}")
-    print(header)
-    print("-" * len(header))
-    for e in doc["results"]:
-        print(f"{e['kernel']:<14} {e['profile']:<10} {e['records']:>8} "
-              f"{e['leaves']:>7} {e['before_s'] * 1e3:>12.3f} "
-              f"{e['after_s'] * 1e3:>11.3f} {e['speedup']:>7.2f}x")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Wall-clock before/after benchmark of the level-batched "
-                    "E/W/S kernels."
-    )
-    parser.add_argument("--records", type=int, nargs="+",
-                        default=[4096, 16384],
-                        help="dataset sizes (records per level)")
-    parser.add_argument("--leaves", type=int, nargs="+",
-                        default=[1, 4, 16, 64, 256],
-                        help="leaf counts per level")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="best-of-N timing repeats")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="BENCH_kernels.json",
-                        help="output JSON path")
-    parser.add_argument("--validate", metavar="FILE",
-                        help="validate an existing document and exit")
-    args = parser.parse_args(argv)
-
-    if args.validate:
-        with open(args.validate) as handle:
-            validate_bench_doc(json.load(handle))
-        print(f"{args.validate}: valid {SCHEMA} document")
-        return 0
-
-    doc = run_benchmarks(args.records, args.leaves, args.repeats, args.seed)
-    validate_bench_doc(doc)
-    with open(args.out, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    _print_table(doc)
-    print(f"\nwrote {args.out}")
-    return 0
+SUITE = Suite(
+    schema="bench_kernels/1",
+    run=run,
+    full=dict(records=[4096, 16384], leaves=[1, 4, 16, 64, 256],
+              repeats=5, seed=0),
+    quick=dict(records=[4096], leaves=[1, 8, 32], repeats=3, seed=0),
+    tables=(
+        Table(
+            key=("kernel", "profile", "records", "leaves"),
+            required=("kernel", "profile", "records", "leaves",
+                      "before_s", "after_s", "speedup"),
+            enums={"kernel": KNOWN_KERNELS},
+            positive=("before_s", "after_s"),
+            ratios=(Ratio("speedup", "before_s", "after_s"),),
+            metrics=(("speedup", "higher"),),
+        ),
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(SUITE.main())

@@ -14,23 +14,16 @@ on identical inputs:
 
 plus the :class:`~repro.classify.engine.InferenceEngine` at each thread
 count, measuring end-to-end micro-batched throughput on the compiled
-tree.  Every timed prediction is compared against the oracle's output —
-the run aborts on any mismatch, so the numbers always describe
-bit-identical results.
+tree.  Every timed prediction is compared against the oracle's output;
+any mismatch fails the document's gate (it is not written), so the
+numbers always describe bit-identical results.
 
-Output is a ``bench_predict/1`` JSON document::
+Output is a ``bench_predict/1`` document, written through :mod:`suite`::
 
-    PYTHONPATH=src python benchmarks/bench_predict.py --out BENCH_predict.json
-
-``--validate FILE`` checks an existing document's schema (used by the
-CI smoke job); ``--quick`` shrinks the matrix for smoke runs.
+    PYTHONPATH=src python benchmarks/bench_predict.py
 """
 
-import argparse
-import json
-import platform
 import sys
-import time
 
 import numpy as np
 
@@ -40,28 +33,23 @@ from repro.classify.native import native_available
 from repro.classify.predict import predict_oracle
 from repro.classify.treegen import random_columns, random_tree
 from repro.data.schema import Attribute, AttributeKind, Schema
+from suite import Ratio, Suite, Table, best_of
 
-SCHEMA = "bench_predict/1"
 BACKENDS = ("oracle", "numpy", "native")
 
-#: Default matrix.  ``leaf_prob`` controls bushiness: lower -> more
+#: Full matrix.  ``leaf_prob`` controls bushiness: lower -> more
 #: nodes at a given depth.  The mixed tree exercises the categorical
 #: bitmask path; the continuous trees are the common serving shape.
-TREES = (
+TREES = [
     {"name": "cont-d8", "depth": 8, "leaf_prob": 0.1, "categorical": False},
     {"name": "cont-d12", "depth": 12, "leaf_prob": 0.05, "categorical": False},
     {"name": "cont-d16", "depth": 16, "leaf_prob": 0.05, "categorical": False},
     {"name": "cont-d20", "depth": 20, "leaf_prob": 0.03, "categorical": False},
     {"name": "mixed-d12", "depth": 12, "leaf_prob": 0.05, "categorical": True},
-)
-BATCH_SIZES = (4096, 65536, 262144)
-THREADS = (1, 2, 4)
-
-QUICK_TREES = (
+]
+QUICK_TREES = [
     {"name": "cont-d8", "depth": 8, "leaf_prob": 0.2, "categorical": False},
-)
-QUICK_BATCH_SIZES = (1024, 8192)
-QUICK_THREADS = (1, 2)
+]
 
 
 def _schema(categorical):
@@ -76,21 +64,11 @@ def _schema(categorical):
     return Schema(attrs, class_names=("A", "B", "C"))
 
 
-def _best_of(fn, repeats):
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, out
-
-
-def run_benchmarks(tree_specs, batch_sizes, threads, repeats, seed):
+def run(trees, batch_sizes, threads, repeats, seed):
     results = []
     mismatches = []
     have_native = native_available()
-    for spec in tree_specs:
+    for spec in trees:
         schema = _schema(spec["categorical"])
         tree = random_tree(
             schema,
@@ -101,14 +79,14 @@ def run_benchmarks(tree_specs, batch_sizes, threads, repeats, seed):
         compiled = compiled_for(tree)
         for batch in batch_sizes:
             columns = random_columns(schema, batch, seed=seed + batch)
-            oracle_s, want = _best_of(
+            oracle_s, want = best_of(
                 lambda: predict_oracle(tree, columns), repeats
             )
             timings = {"oracle": oracle_s}
             for backend in ("numpy", "native"):
                 if backend == "native" and not have_native:
                     continue
-                seconds, got = _best_of(
+                seconds, got = best_of(
                     lambda b=backend: compiled.predict(columns, backend=b),
                     repeats,
                 )
@@ -147,7 +125,7 @@ def run_benchmarks(tree_specs, batch_sizes, threads, repeats, seed):
                             [p.result(timeout=300) for p in pending]
                         )
 
-                    seconds, got = _best_of(through_engine, repeats)
+                    seconds, got = best_of(through_engine, repeats)
                 if not np.array_equal(got, want):
                     mismatches.append(
                         (spec["name"], batch, f"engine-{n_workers}")
@@ -176,23 +154,9 @@ def run_benchmarks(tree_specs, batch_sizes, threads, repeats, seed):
         eligible, key=lambda e: e["speedup_vs_oracle"], default=None
     )
     return {
-        "schema": SCHEMA,
-        "config": {
-            "trees": [dict(s) for s in tree_specs],
-            "batch_sizes": list(batch_sizes),
-            "threads": list(threads),
-            "repeats": repeats,
-            "seed": seed,
-            "native_available": have_native,
-        },
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": __import__("os").cpu_count(),
-        },
         "results": results,
         "summary": {
+            "native_available": have_native,
             "all_outputs_match_oracle": not mismatches,
             "best_deep_batch_speedup": (
                 best["speedup_vs_oracle"] if best else None
@@ -203,103 +167,32 @@ def run_benchmarks(tree_specs, batch_sizes, threads, repeats, seed):
                 else None
             ),
         },
-    }, mismatches
+    }
 
 
-def validate_bench_doc(doc):
-    """Schema check for a ``bench_predict/1`` document; raises ValueError."""
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ValueError(f"schema must be {SCHEMA!r}")
-    for section in ("config", "env", "results", "summary"):
-        if section not in doc:
-            raise ValueError(f"missing section {section!r}")
-    if not isinstance(doc["results"], list) or not doc["results"]:
-        raise ValueError("results must be a non-empty list")
-    for i, entry in enumerate(doc["results"]):
-        for key in ("kind", "tree", "depth", "n_nodes", "backend", "batch",
-                    "threads", "seconds", "rows_per_s",
-                    "speedup_vs_oracle"):
-            if key not in entry:
-                raise ValueError(f"results[{i}] missing {key!r}")
-        if entry["kind"] not in ("predict", "engine"):
-            raise ValueError(f"results[{i}] unknown kind {entry['kind']!r}")
-        if entry["backend"] not in BACKENDS:
-            raise ValueError(
-                f"results[{i}] unknown backend {entry['backend']!r}"
-            )
-        if not (isinstance(entry["seconds"], (int, float))
-                and entry["seconds"] > 0):
-            raise ValueError(f"results[{i}].seconds must be positive")
-        expected = entry["batch"] / entry["seconds"]
-        if abs(entry["rows_per_s"] - expected) > 1e-6 * max(expected, 1.0):
-            raise ValueError(f"results[{i}].rows_per_s inconsistent")
-    if doc["summary"].get("all_outputs_match_oracle") is not True:
-        raise ValueError("summary.all_outputs_match_oracle must be true")
-
-
-def _print_table(doc):
-    header = (f"{'tree':<10} {'nodes':>6} {'kind':<8} {'backend':<8} "
-              f"{'batch':>7} {'thr':>3} {'time (ms)':>10} "
-              f"{'rows/s':>12} {'vs oracle':>9}")
-    print(header)
-    print("-" * len(header))
-    for e in doc["results"]:
-        print(f"{e['tree']:<10} {e['n_nodes']:>6} {e['kind']:<8} "
-              f"{e['backend']:<8} {e['batch']:>7} {e['threads']:>3} "
-              f"{e['seconds'] * 1e3:>10.2f} {e['rows_per_s']:>12,.0f} "
-              f"{e['speedup_vs_oracle']:>8.2f}x")
-    summary = doc["summary"]
-    if summary["best_deep_batch_config"]:
-        cfg = summary["best_deep_batch_config"]
-        print(f"\nbest deep-tree big-batch speedup vs oracle: "
-              f"{summary['best_deep_batch_speedup']:.2f}x "
-              f"({cfg['tree']} {cfg['backend']} batch={cfg['batch']})")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Compiled-tree batch inference benchmark "
-                    "(oracle vs numpy vs native vs engine)."
-    )
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="best-of-N timing repeats")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--quick", action="store_true",
-                        help="small matrix for CI smoke")
-    parser.add_argument("--out", default="BENCH_predict.json",
-                        help="output JSON path")
-    parser.add_argument("--validate", metavar="FILE",
-                        help="validate an existing document and exit")
-    args = parser.parse_args(argv)
-
-    if args.validate:
-        with open(args.validate) as handle:
-            validate_bench_doc(json.load(handle))
-        print(f"{args.validate}: valid {SCHEMA} document")
-        return 0
-
-    if args.quick:
-        trees, batches, threads = QUICK_TREES, QUICK_BATCH_SIZES, QUICK_THREADS
-        repeats = 2
-    else:
-        trees, batches, threads = TREES, BATCH_SIZES, THREADS
-        repeats = args.repeats
-    doc, mismatches = run_benchmarks(
-        trees, batches, threads, repeats, args.seed
-    )
-    if mismatches:
-        for name, batch, backend in mismatches:
-            print(f"OUTPUT MISMATCH: {name} batch={batch} {backend}",
-                  file=sys.stderr)
-        return 1
-    validate_bench_doc(doc)
-    with open(args.out, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    _print_table(doc)
-    print(f"\nwrote {args.out}")
-    return 0
+SUITE = Suite(
+    schema="bench_predict/1",
+    run=run,
+    full=dict(trees=TREES, batch_sizes=[4096, 65536, 262144],
+              threads=[1, 2, 4], repeats=5, seed=7),
+    quick=dict(trees=QUICK_TREES, batch_sizes=[1024, 8192], threads=[1, 2],
+               repeats=2, seed=7),
+    tables=(
+        Table(
+            key=("kind", "tree", "backend", "batch", "threads"),
+            required=("kind", "tree", "depth", "n_nodes", "backend",
+                      "batch", "threads", "seconds", "rows_per_s",
+                      "speedup_vs_oracle"),
+            enums={"kind": ("predict", "engine"), "backend": BACKENDS},
+            positive=("seconds",),
+            ratios=(Ratio("rows_per_s", "batch", "seconds", tol=1e-6),),
+            metrics=(("speedup_vs_oracle", "higher"),),
+        ),
+    ),
+    summary_true=("all_outputs_match_oracle",),
+    summary_metrics=(("all_outputs_match_oracle", "bool"),),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(SUITE.main())

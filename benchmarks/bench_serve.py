@@ -21,17 +21,12 @@ Every run also checks the registry's exact accounting invariants
 ``admitted = completed + errored + cancelled``) — a run that drops or
 double-counts a request fails the document, not just a test.
 
-Output is a ``bench_serve/1`` JSON document::
+Output is a ``bench_serve/1`` document, written through :mod:`suite`::
 
-    PYTHONPATH=src python benchmarks/bench_serve.py --out BENCH_serve.json
-
-``--validate FILE`` checks an existing document's schema (used by the
-CI smoke job); ``--quick`` shrinks the matrix for smoke runs.
+    PYTHONPATH=src python benchmarks/bench_serve.py
 """
 
-import argparse
 import json
-import platform
 import socket
 import sys
 import threading
@@ -42,19 +37,9 @@ import numpy as np
 from repro.core.builder import build_classifier
 from repro.data.generator import DatasetSpec, generate_dataset
 from repro.serve import ModelRegistry, ServeServer
+from suite import Suite, Table
 
-SCHEMA = "bench_serve/1"
 MODES = ("closed", "open", "swap")
-
-WORKERS = (1, 2)
-CLOSED_CLIENTS = (4,)
-OPEN_RATES = (200.0,)
-DURATION_S = 3.0
-
-QUICK_WORKERS = (1, 2)
-QUICK_CLOSED_CLIENTS = (2,)
-QUICK_OPEN_RATES = (50.0,)
-QUICK_DURATION_S = 0.6
 
 
 def _models(seed):
@@ -245,18 +230,17 @@ def _open_loop(server, tree, rate, duration_s, seed):
     }
 
 
-def run_benchmarks(workers_list, closed_clients, open_rates, duration_s,
-                   seed):
+def run(workers, closed_clients, open_rates, duration_s, seed):
     tree, swap_tree = _models(seed)
     results = []
     zero_lost_swap = True
     all_accounted = True
 
-    def run_cell(mode, workers, clients, rate, fn):
+    def run_cell(mode, n_workers, clients, rate, fn):
         nonlocal zero_lost_swap, all_accounted
         registry = ModelRegistry()
         registry.add(
-            "bench", tree, version="v1", workers=workers,
+            "bench", tree, version="v1", workers=n_workers,
             max_pending=4096,
         )
         server = ServeServer(registry, port=0, timeout=60.0).start()
@@ -277,7 +261,7 @@ def run_benchmarks(workers_list, closed_clients, open_rates, duration_s,
                 zero_lost_swap = False
         results.append({
             "mode": mode,
-            "workers": workers,
+            "workers": n_workers,
             "clients": clients,
             "rate": rate,
             "duration_s": duration_s,
@@ -295,23 +279,23 @@ def run_benchmarks(workers_list, closed_clients, open_rates, duration_s,
             "accounting_ok": ok,
         })
 
-    for workers in workers_list:
+    for n_workers in workers:
         for clients in closed_clients:
             run_cell(
-                "closed", workers, clients, 0.0,
+                "closed", n_workers, clients, 0.0,
                 lambda server, registry, c=clients: _closed_loop(
                     server, tree, c, duration_s, seed
                 ),
             )
         for rate in open_rates:
             run_cell(
-                "open", workers, 1, rate,
+                "open", n_workers, 1, rate,
                 lambda server, registry, r=rate: _open_loop(
                     server, tree, r, duration_s, seed
                 ),
             )
         run_cell(
-            "swap", workers, closed_clients[0], 0.0,
+            "swap", n_workers, closed_clients[0], 0.0,
             lambda server, registry, c=closed_clients[0]: _closed_loop(
                 server, tree, c, duration_s, seed,
                 swap_at=duration_s / 2, registry=registry,
@@ -320,20 +304,6 @@ def run_benchmarks(workers_list, closed_clients, open_rates, duration_s,
         )
 
     return {
-        "schema": SCHEMA,
-        "config": {
-            "workers": list(workers_list),
-            "closed_clients": list(closed_clients),
-            "open_rates": list(open_rates),
-            "duration_s": duration_s,
-            "seed": seed,
-        },
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": __import__("os").cpu_count(),
-        },
         "results": results,
         "summary": {
             "zero_lost_swap": zero_lost_swap,
@@ -342,103 +312,62 @@ def run_benchmarks(workers_list, closed_clients, open_rates, duration_s,
     }
 
 
-def validate_bench_doc(doc):
-    """Schema check for a ``bench_serve/1`` document; raises ValueError."""
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ValueError(f"schema must be {SCHEMA!r}")
-    for section in ("config", "env", "results", "summary"):
-        if section not in doc:
-            raise ValueError(f"missing section {section!r}")
-    if not isinstance(doc["results"], list) or not doc["results"]:
-        raise ValueError("results must be a non-empty list")
+def check_serving(doc):
+    """Latency order, and a matrix wide enough to mean something."""
     modes = set()
     worker_counts = set()
     for i, entry in enumerate(doc["results"]):
-        for key in ("mode", "workers", "clients", "rate", "duration_s",
-                    "requests", "replies", "errors", "lost", "zero_lost",
-                    "throughput_rps", "p50_s", "p90_s", "p99_s",
-                    "accounting_ok"):
-            if key not in entry:
-                raise ValueError(f"results[{i}] missing {key!r}")
-        if entry["mode"] not in MODES:
-            raise ValueError(f"results[{i}] unknown mode {entry['mode']!r}")
         modes.add(entry["mode"])
         worker_counts.add(entry["workers"])
-        if entry["requests"] < 1:
-            raise ValueError(f"results[{i}] made no requests")
-        for key in ("p50_s", "p90_s", "p99_s", "throughput_rps"):
-            value = entry[key]
-            if not (isinstance(value, (int, float)) and value >= 0):
-                raise ValueError(f"results[{i}].{key} must be >= 0")
         if entry["p50_s"] > entry["p99_s"]:
             raise ValueError(f"results[{i}] p50 > p99")
-        if entry["mode"] == "swap" and not entry["zero_lost"]:
-            raise ValueError(f"results[{i}] swap run lost requests")
     if modes != set(MODES):
         raise ValueError(f"results must cover modes {MODES}, got {modes}")
     if len(worker_counts) < 2:
         raise ValueError("results must cover >= 2 worker counts")
-    for key in ("zero_lost_swap", "all_accounted"):
-        if doc["summary"].get(key) is not True:
-            raise ValueError(f"summary.{key} must be true")
 
 
-def _print_table(doc):
-    header = (f"{'mode':<7} {'wrk':>3} {'cli':>3} {'rate':>6} "
-              f"{'reqs':>7} {'lost':>4} {'rps':>9} "
-              f"{'p50 (ms)':>9} {'p90 (ms)':>9} {'p99 (ms)':>9}")
-    print(header)
-    print("-" * len(header))
-    for e in doc["results"]:
-        print(f"{e['mode']:<7} {e['workers']:>3} {e['clients']:>3} "
-              f"{e['rate']:>6.0f} {e['requests']:>7} {e['lost']:>4} "
-              f"{e['throughput_rps']:>9,.0f} "
-              f"{e['p50_s'] * 1e3:>9.3f} {e['p90_s'] * 1e3:>9.3f} "
-              f"{e['p99_s'] * 1e3:>9.3f}")
-    s = doc["summary"]
-    print(f"\nzero-lost hot-swap: {s['zero_lost_swap']}; "
-          f"exact accounting: {s['all_accounted']}")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Serving-tier load generator: open/closed-loop latency "
-                    "and zero-downtime hot-swap under load."
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--duration", type=float, default=None,
-                        help="seconds of traffic per cell")
-    parser.add_argument("--quick", action="store_true",
-                        help="small matrix for CI smoke")
-    parser.add_argument("--out", default="BENCH_serve.json",
-                        help="output JSON path")
-    parser.add_argument("--validate", metavar="FILE",
-                        help="validate an existing document and exit")
-    args = parser.parse_args(argv)
-
-    if args.validate:
-        with open(args.validate) as handle:
-            validate_bench_doc(json.load(handle))
-        print(f"{args.validate}: valid {SCHEMA} document")
-        return 0
-
-    if args.quick:
-        workers, clients, rates = (
-            QUICK_WORKERS, QUICK_CLOSED_CLIENTS, QUICK_OPEN_RATES
-        )
-        duration = args.duration or QUICK_DURATION_S
-    else:
-        workers, clients, rates = WORKERS, CLOSED_CLIENTS, OPEN_RATES
-        duration = args.duration or DURATION_S
-    doc = run_benchmarks(workers, clients, rates, duration, args.seed)
-    validate_bench_doc(doc)
-    with open(args.out, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    _print_table(doc)
-    print(f"\nwrote {args.out}")
-    return 0
+SUITE = Suite(
+    schema="bench_serve/1",
+    run=run,
+    full=dict(workers=[1, 2], closed_clients=[4], open_rates=[200.0],
+              duration_s=3.0, seed=7),
+    quick=dict(workers=[1, 2], closed_clients=[2], open_rates=[50.0],
+               duration_s=0.6, seed=7),
+    tables=(
+        Table(
+            key=("mode", "workers", "clients", "rate"),
+            required=("mode", "workers", "clients", "rate", "duration_s",
+                      "requests", "replies", "errors", "lost", "zero_lost",
+                      "throughput_rps", "p50_s", "p90_s", "p99_s",
+                      "accounting_ok"),
+            enums={"mode": MODES},
+            within={
+                "requests": (1, None),
+                "throughput_rps": (0, None),
+                "p50_s": (0, None),
+                "p90_s": (0, None),
+                "p99_s": (0, None),
+            },
+            metrics=(
+                ("throughput_rps", "higher"),
+                ("p99_s", "lower"),
+                # A swap run that drops requests is a correctness
+                # failure, not a slow day on the runner.
+                ("zero_lost", "bool"),
+                ("accounting_ok", "bool"),
+            ),
+        ),
+        Table(where={"mode": "swap"}, true=("zero_lost",)),
+    ),
+    summary_true=("zero_lost_swap", "all_accounted"),
+    summary_metrics=(
+        ("zero_lost_swap", "bool"),
+        ("all_accounted", "bool"),
+    ),
+    checks=(check_serving,),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(SUITE.main())

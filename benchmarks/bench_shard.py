@@ -15,72 +15,49 @@ runtime modes:
   ``bench_wallclock.py``).
 
 Every ``merge="exact"`` tree is compared node-for-node against the
-serial baseline (the run fails on any divergence — that protocol
-promises bit-identical trees).  ``merge="vote"`` trees may legally
-differ, so the document records their training-accuracy delta and
-bytes saved instead.  Output is a ``bench_shard/1`` JSON document::
+serial baseline (any divergence fails the document's gate — that
+protocol promises bit-identical trees).  ``merge="vote"`` trees may
+legally differ, so the document records their training-accuracy delta
+and bytes saved instead.  Output is a ``bench_shard/1`` document,
+written through :mod:`suite`::
 
-    PYTHONPATH=src python benchmarks/bench_shard.py --out BENCH_shard.json
-
-``--validate FILE`` checks an existing document's schema (used by the
-CI smoke job); ``--quick`` shrinks the matrix for smoke runs.
+    PYTHONPATH=src python benchmarks/bench_shard.py
 """
 
-import argparse
-import json
-import platform
 import sys
-import time
-
-import numpy as np
 
 from repro.classify.metrics import accuracy
 from repro.core.builder import build_classifier
 from repro.core.serialize import _node_to_dict
 from repro.data.generator import DatasetSpec, generate_dataset
 from repro.shard.pool import shutdown_pools
+from suite import Ratio, Suite, Table, best_of
 
-SCHEMA = "bench_shard/1"
 MODES = ("raw", "paced")
 MERGES = ("exact", "vote")
 
-#: Default matrix: one 100k-row dataset (the acceptance floor) across
+#: Full matrix: one 100k-row dataset (the acceptance floor) across
 #: 1/2/4 worker processes and both merge protocols.
-DATASETS = (
+DATASETS = [
     {"name": "F2-100K", "function": 2, "n_attributes": 9,
      "n_records": 100_000},
-)
-QUICK_DATASETS = (
+]
+QUICK_DATASETS = [
     {"name": "F2-2K", "function": 2, "n_attributes": 9, "n_records": 2000},
-)
+]
 
 
-def _build_once(dataset, shards, merge, pace, vote_k):
-    start = time.perf_counter()
-    result = build_classifier(
-        dataset,
-        runtime="procs",
-        shards=shards,
-        merge=merge,
-        vote_k=vote_k,
-        pace=pace,
-    )
-    return time.perf_counter() - start, result
+def run(datasets, shards, pace, vote_k, repeats, seed):
+    try:
+        results = _sweep(datasets, shards, pace, vote_k, repeats, seed)
+    finally:
+        shutdown_pools()
+    return {"results": results, "summary": _summarize(results, shards)}
 
 
-def _time_config(dataset, shards, merge, pace, vote_k, repeats):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        elapsed, result = _build_once(dataset, shards, merge, pace, vote_k)
-        best = min(best, elapsed)
-    return best, result
-
-
-def run_benchmarks(dataset_specs, shards_list, pace, vote_k, repeats, seed):
+def _sweep(datasets, shards_list, pace, vote_k, repeats, seed):
     results = []
-    mismatches = []
-    for spec in dataset_specs:
+    for spec in datasets:
         dataset = generate_dataset(
             DatasetSpec(
                 function=spec["function"],
@@ -97,13 +74,18 @@ def run_benchmarks(dataset_specs, shards_list, pace, vote_k, repeats, seed):
             for merge in MERGES:
                 baseline = None
                 for shards in shards_list:
-                    build_s, result = _time_config(
-                        dataset, shards, merge, mode_pace, vote_k, repeats
+                    build_s, result = best_of(
+                        lambda: build_classifier(
+                            dataset,
+                            runtime="procs",
+                            shards=shards,
+                            merge=merge,
+                            vote_k=vote_k,
+                            pace=mode_pace,
+                        ),
+                        repeats,
                     )
-                    tree_doc = _node_to_dict(result.tree.root)
-                    matches = tree_doc == reference
-                    if merge == "exact" and not matches:
-                        mismatches.append((spec["name"], mode, shards))
+                    matches = _node_to_dict(result.tree.root) == reference
                     if shards == shards_list[0]:
                         baseline = build_s
                     sh = result.shard
@@ -123,25 +105,7 @@ def run_benchmarks(dataset_specs, shards_list, pace, vote_k, repeats, seed):
                         "model_seconds": sh.model_seconds,
                         "worker_busy_s": sh.worker_busy_s,
                     })
-    return {
-        "schema": SCHEMA,
-        "config": {
-            "datasets": [dict(s) for s in dataset_specs],
-            "shards": list(shards_list),
-            "pace": pace,
-            "vote_k": vote_k,
-            "repeats": repeats,
-            "seed": seed,
-        },
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": __import__("os").cpu_count(),
-        },
-        "results": results,
-        "summary": _summarize(results, shards_list),
-    }, mismatches
+    return results
 
 
 def _summarize(results, shards_list):
@@ -176,123 +140,47 @@ def _summarize(results, shards_list):
     }
 
 
-def validate_bench_doc(doc):
-    """Schema check for a ``bench_shard/1`` document; raises ValueError."""
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ValueError(f"schema must be {SCHEMA!r}")
-    for section in ("config", "env", "results", "summary"):
-        if section not in doc:
-            raise ValueError(f"missing section {section!r}")
-    if not isinstance(doc["results"], list) or not doc["results"]:
-        raise ValueError("results must be a non-empty list")
-    baselines = {}
-    base_shards = doc["config"]["shards"][0] if doc["config"].get(
-        "shards") else None
-    for i, entry in enumerate(doc["results"]):
-        for key in ("dataset", "mode", "merge", "shards", "build_s",
-                    "speedup", "tree_matches_serial", "accuracy_delta",
-                    "bytes_total", "rounds_total"):
-            if key not in entry:
-                raise ValueError(f"results[{i}] missing {key!r}")
-        if entry["mode"] not in MODES:
-            raise ValueError(f"results[{i}] unknown mode {entry['mode']!r}")
-        if entry["merge"] not in MERGES:
-            raise ValueError(f"results[{i}] unknown merge {entry['merge']!r}")
-        if not (isinstance(entry["build_s"], (int, float))
-                and entry["build_s"] > 0):
-            raise ValueError(f"results[{i}].build_s must be positive")
-        if entry["merge"] == "exact":
-            if entry["tree_matches_serial"] is not True:
-                raise ValueError(
-                    f"results[{i}]: exact-merge tree diverged from serial"
-                )
-            if entry["accuracy_delta"] != 0:
-                raise ValueError(
-                    f"results[{i}]: exact merge cannot change accuracy"
-                )
-        if not (isinstance(entry["bytes_total"], int)
-                and entry["bytes_total"] > 0):
-            raise ValueError(f"results[{i}].bytes_total must be positive")
-        series = (entry["dataset"], entry["mode"], entry["merge"])
-        if entry["shards"] == base_shards:
-            baselines[series] = entry["build_s"]
-        base = baselines.get(series)
-        if base is None:
-            raise ValueError(f"results[{i}] has no baseline entry")
-        expected = base / entry["build_s"]
-        if abs(entry["speedup"] - expected) > 1e-9 * max(expected, 1.0):
-            raise ValueError(f"results[{i}].speedup inconsistent")
-    if doc["summary"].get("all_exact_trees_match") is not True:
-        raise ValueError("summary.all_exact_trees_match must be true")
-
-
-def _print_table(doc):
-    header = (f"{'dataset':<8} {'mode':<6} {'merge':<6} {'shards':>6} "
-              f"{'build (s)':>10} {'speedup':>8} {'bytes':>12} {'tree':>5}")
-    print(header)
-    print("-" * len(header))
-    for e in doc["results"]:
-        print(f"{e['dataset']:<8} {e['mode']:<6} {e['merge']:<6} "
-              f"{e['shards']:>6} {e['build_s']:>10.3f} "
-              f"{e['speedup']:>7.2f}x {e['bytes_total']:>12,} "
-              f"{'ok' if e['tree_matches_serial'] else 'diff':>5}")
-    s = doc["summary"]
-    if s["paced_exact_speedup_at_max_shards"] is not None:
-        print(f"\npaced exact speedup at {s['max_shards']} shards: "
-              f"{s['paced_exact_speedup_at_max_shards']:.2f}x")
-    if s["vote_bytes_ratio"] is not None:
-        print(f"vote/exact traffic ratio: {s['vote_bytes_ratio']:.2f}")
-    if s["worst_vote_accuracy_delta"] is not None:
-        print(f"worst vote accuracy delta: "
-              f"{s['worst_vote_accuracy_delta']:+.4f}")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Sharded multi-process build benchmark "
-                    "(shards x merge-mode x raw/paced)."
-    )
-    parser.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4],
-                        help="worker-process counts (first is the baseline)")
-    parser.add_argument("--pace", type=float, default=0.03,
-                        help="model-second scale for the paced mode")
-    parser.add_argument("--vote-k", type=int, default=3, dest="vote_k",
-                        help="per-shard ballot size for merge=vote")
-    parser.add_argument("--repeats", type=int, default=1,
-                        help="best-of-N timing repeats")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--quick", action="store_true",
-                        help="small single-dataset matrix for CI smoke")
-    parser.add_argument("--out", default="BENCH_shard.json",
-                        help="output JSON path")
-    parser.add_argument("--validate", metavar="FILE",
-                        help="validate an existing document and exit")
-    args = parser.parse_args(argv)
-
-    if args.validate:
-        with open(args.validate) as handle:
-            validate_bench_doc(json.load(handle))
-        print(f"{args.validate}: valid {SCHEMA} document")
-        return 0
-
-    datasets = QUICK_DATASETS if args.quick else DATASETS
-    doc, mismatches = run_benchmarks(
-        datasets, args.shards, args.pace, args.vote_k, args.repeats,
-        args.seed,
-    )
-    shutdown_pools()
-    _print_table(doc)
-    if mismatches:
-        print(f"\nFATAL: exact-merge tree mismatches: {mismatches}",
-              file=sys.stderr)
-        return 1
-    validate_bench_doc(doc)
-    with open(args.out, "w") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
-    print(f"\nwrote {args.out}")
-    return 0
+SUITE = Suite(
+    schema="bench_shard/1",
+    run=run,
+    # ``shards`` must start at 1: it is every series' speedup baseline.
+    full=dict(datasets=DATASETS, shards=[1, 2, 4], pace=0.03, vote_k=3,
+              repeats=1, seed=7),
+    quick=dict(datasets=QUICK_DATASETS, shards=[1, 2, 4], pace=0.03,
+               vote_k=3, repeats=1, seed=7),
+    tables=(
+        Table(
+            key=("dataset", "mode", "merge", "shards"),
+            required=("dataset", "mode", "merge", "shards", "build_s",
+                      "speedup", "tree_matches_serial", "accuracy_delta",
+                      "bytes_total", "rounds_total"),
+            enums={"mode": MODES, "merge": MERGES},
+            positive=("build_s", "bytes_total"),
+            ratios=(
+                Ratio("speedup", "build_s", "build_s",
+                      series=("dataset", "mode", "merge"),
+                      base=("shards", 1)),
+            ),
+            metrics=(
+                ("speedup", "higher"),
+                ("build_s", "lower"),
+                # Protocol traffic is deterministic per config; more
+                # bytes than baseline means the merge got chattier.
+                ("bytes_total", "lower"),
+                ("tree_matches_serial", "bool"),
+            ),
+        ),
+        # The exact merge promises the serial tree, hence its accuracy.
+        Table(
+            where={"merge": "exact"},
+            true=("tree_matches_serial",),
+            within={"accuracy_delta": (0, 0)},
+        ),
+    ),
+    summary_true=("all_exact_trees_match",),
+    summary_metrics=(("all_exact_trees_match", "bool"),),
+)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(SUITE.main())

@@ -15,69 +15,37 @@ runtime modes:
   curves in wall time even on one core.
 
 Every timed build's tree is compared against the virtual-time build of
-the same dataset; the run aborts if any (scheme, procs, mode) tree
-differs.  Output is a ``bench_wallclock/1`` JSON document::
+the same dataset; the document fails its gate (and is not written) if
+any (scheme, procs, mode) tree differs.  Output is a
+``bench_wallclock/1`` document, written through :mod:`suite`::
 
-    PYTHONPATH=src python benchmarks/bench_wallclock.py --out BENCH_wallclock.json
-
-``--validate FILE`` checks an existing document's schema (used by the
-CI smoke job); ``--quick`` shrinks the matrix for smoke runs.
+    PYTHONPATH=src python benchmarks/bench_wallclock.py
 """
 
-import argparse
-import json
-import platform
 import sys
-import time
-
-import numpy as np
 
 from repro.core.builder import ALGORITHMS, build_classifier
 from repro.core.serialize import _node_to_dict
 from repro.data.generator import DatasetSpec, generate_dataset
+from suite import Ratio, Suite, Table, best_of
 
-SCHEMA = "bench_wallclock/1"
 SCHEMES = tuple(sorted(ALGORITHMS))
 MODES = ("raw", "paced")
 
-#: Default matrix: one mostly-continuous and one deeper-tree function,
+#: Full matrix: one mostly-continuous and one deeper-tree function,
 #: small enough that the full sweep stays in the low tens of seconds.
-DATASETS = (
+DATASETS = [
     {"name": "F2", "function": 2, "n_attributes": 9, "n_records": 2000},
     {"name": "F7", "function": 7, "n_attributes": 9, "n_records": 1500},
-)
-QUICK_DATASETS = (
+]
+QUICK_DATASETS = [
     {"name": "F2", "function": 2, "n_attributes": 9, "n_records": 600},
-)
+]
 
 
-def _build_once(dataset, scheme, procs, pace):
-    start = time.perf_counter()
-    result = build_classifier(
-        dataset,
-        algorithm=scheme,
-        n_procs=procs,
-        runtime="threads",
-        pace=pace,
-    )
-    return time.perf_counter() - start, result
-
-
-def _time_config(dataset, scheme, procs, pace, repeats):
-    """Best-of-``repeats`` wall time; returns (seconds, last tree dict)."""
-    best = float("inf")
-    tree = None
-    for _ in range(repeats):
-        elapsed, result = _build_once(dataset, scheme, procs, pace)
-        best = min(best, elapsed)
-        tree = _node_to_dict(result.tree.root)
-    return best, tree
-
-
-def run_benchmarks(dataset_specs, procs_list, pace, repeats, seed):
+def run(datasets, procs, pace, repeats, seed):
     results = []
-    mismatches = []
-    for spec in dataset_specs:
+    for spec in datasets:
         dataset = generate_dataset(
             DatasetSpec(
                 function=spec["function"],
@@ -95,25 +63,31 @@ def run_benchmarks(dataset_specs, procs_list, pace, repeats, seed):
             mode_pace = pace if mode == "paced" else 0.0
             for scheme in SCHEMES:
                 # The serial scheme has no parallel phase; one data point.
-                scheme_procs = (1,) if scheme == "serial" else procs_list
+                scheme_procs = (1,) if scheme == "serial" else procs
                 baseline = None
-                for procs in scheme_procs:
-                    build_s, tree = _time_config(
-                        dataset, scheme, procs, mode_pace, repeats
+                for n_procs in scheme_procs:
+                    build_s, result = best_of(
+                        lambda: build_classifier(
+                            dataset,
+                            algorithm=scheme,
+                            n_procs=n_procs,
+                            runtime="threads",
+                            pace=mode_pace,
+                        ),
+                        repeats,
                     )
-                    matches = tree == reference
-                    if not matches:
-                        mismatches.append((spec["name"], mode, scheme, procs))
-                    if procs == 1:
+                    if n_procs == 1:
                         baseline = build_s
                     results.append({
                         "dataset": spec["name"],
                         "mode": mode,
                         "scheme": scheme,
-                        "procs": procs,
+                        "procs": n_procs,
                         "build_s": build_s,
                         "speedup": baseline / build_s,
-                        "tree_matches_virtual": matches,
+                        "tree_matches_virtual": (
+                            _node_to_dict(result.tree.root) == reference
+                        ),
                     })
     best = max(
         (e for e in results if e["procs"] > 1),
@@ -121,138 +95,52 @@ def run_benchmarks(dataset_specs, procs_list, pace, repeats, seed):
         default=None,
     )
     return {
-        "schema": SCHEMA,
-        "config": {
-            "datasets": [dict(s) for s in dataset_specs],
-            "procs": list(procs_list),
-            "pace": pace,
-            "repeats": repeats,
-            "seed": seed,
-        },
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "cpu_count": __import__("os").cpu_count(),
-        },
         "results": results,
         "summary": {
-            "all_trees_match": not mismatches,
+            "all_trees_match": all(
+                e["tree_matches_virtual"] for e in results
+            ),
             "max_parallel_speedup": best["speedup"] if best else None,
             "max_parallel_config": (
                 {k: best[k] for k in ("dataset", "mode", "scheme", "procs")}
                 if best else None
             ),
         },
-    }, mismatches
+    }
 
 
-def validate_bench_doc(doc):
-    """Schema check for a ``bench_wallclock/1`` document; raises ValueError."""
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ValueError(f"schema must be {SCHEMA!r}")
-    for section in ("config", "env", "results", "summary"):
-        if section not in doc:
-            raise ValueError(f"missing section {section!r}")
-    if not isinstance(doc["results"], list) or not doc["results"]:
-        raise ValueError("results must be a non-empty list")
-    baselines = {}
-    for i, entry in enumerate(doc["results"]):
-        for key in ("dataset", "mode", "scheme", "procs", "build_s",
-                    "speedup", "tree_matches_virtual"):
-            if key not in entry:
-                raise ValueError(f"results[{i}] missing {key!r}")
-        if entry["mode"] not in MODES:
-            raise ValueError(f"results[{i}] unknown mode {entry['mode']!r}")
-        if entry["scheme"] not in SCHEMES:
-            raise ValueError(
-                f"results[{i}] unknown scheme {entry['scheme']!r}"
-            )
-        if not (isinstance(entry["build_s"], (int, float))
-                and entry["build_s"] > 0):
-            raise ValueError(f"results[{i}].build_s must be positive")
-        if entry["tree_matches_virtual"] is not True:
-            raise ValueError(
-                f"results[{i}]: real-thread tree diverged from virtual"
-            )
-        series = (entry["dataset"], entry["mode"], entry["scheme"])
-        if entry["procs"] == 1:
-            baselines[series] = entry["build_s"]
-        base = baselines.get(series)
-        if base is None:
-            raise ValueError(f"results[{i}] has no 1-proc baseline")
-        expected = base / entry["build_s"]
-        if abs(entry["speedup"] - expected) > 1e-9 * max(expected, 1.0):
-            raise ValueError(f"results[{i}].speedup inconsistent")
-    if doc["summary"].get("all_trees_match") is not True:
-        raise ValueError("summary.all_trees_match must be true")
-
-
-def _print_table(doc):
-    header = (f"{'dataset':<8} {'mode':<6} {'scheme':<10} {'procs':>5} "
-              f"{'build (s)':>10} {'speedup':>8} {'tree':>5}")
-    print(header)
-    print("-" * len(header))
-    for e in doc["results"]:
-        print(f"{e['dataset']:<8} {e['mode']:<6} {e['scheme']:<10} "
-              f"{e['procs']:>5} {e['build_s']:>10.3f} "
-              f"{e['speedup']:>7.2f}x "
-              f"{'ok' if e['tree_matches_virtual'] else 'DIFF':>5}")
-    summary = doc["summary"]
-    if summary["max_parallel_config"]:
-        cfg = summary["max_parallel_config"]
-        print(f"\nbest parallel speedup: "
-              f"{summary['max_parallel_speedup']:.2f}x "
-              f"({cfg['dataset']} {cfg['mode']} {cfg['scheme']} "
-              f"procs={cfg['procs']})")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(
-        description="Serial-vs-N-thread wall-clock benchmark of the "
-                    "real-thread build backend."
-    )
-    parser.add_argument("--procs", type=int, nargs="+", default=[1, 2, 4],
-                        help="thread counts (must include 1 for baselines)")
-    parser.add_argument("--pace", type=float, default=0.1,
-                        help="model-second scale for the paced mode")
-    parser.add_argument("--repeats", type=int, default=2,
-                        help="best-of-N timing repeats")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--quick", action="store_true",
-                        help="small single-dataset matrix for CI smoke")
-    parser.add_argument("--out", default="BENCH_wallclock.json",
-                        help="output JSON path")
-    parser.add_argument("--validate", metavar="FILE",
-                        help="validate an existing document and exit")
-    args = parser.parse_args(argv)
-
-    if args.validate:
-        with open(args.validate) as handle:
-            validate_bench_doc(json.load(handle))
-        print(f"{args.validate}: valid {SCHEMA} document")
-        return 0
-
-    if 1 not in args.procs:
-        parser.error("--procs must include 1 (the baseline)")
-    datasets = QUICK_DATASETS if args.quick else DATASETS
-    repeats = 1 if args.quick else args.repeats
-    doc, mismatches = run_benchmarks(
-        datasets, sorted(set(args.procs)), args.pace, repeats, args.seed
-    )
-    if mismatches:
-        for name, mode, scheme, procs in mismatches:
-            print(f"TREE MISMATCH: {name} {mode} {scheme} procs={procs}",
-                  file=sys.stderr)
-        return 1
-    validate_bench_doc(doc)
-    with open(args.out, "w") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
-    _print_table(doc)
-    print(f"\nwrote {args.out}")
-    return 0
+SUITE = Suite(
+    schema="bench_wallclock/1",
+    run=run,
+    # ``procs`` must include 1: it is every series' speedup baseline.
+    full=dict(datasets=DATASETS, procs=[1, 2, 4], pace=0.1, repeats=2,
+              seed=7),
+    quick=dict(datasets=QUICK_DATASETS, procs=[1, 2, 4], pace=0.1,
+               repeats=1, seed=7),
+    tables=(
+        Table(
+            key=("dataset", "mode", "scheme", "procs"),
+            required=("dataset", "mode", "scheme", "procs", "build_s",
+                      "speedup", "tree_matches_virtual"),
+            enums={"mode": MODES, "scheme": SCHEMES},
+            positive=("build_s",),
+            ratios=(
+                Ratio("speedup", "build_s", "build_s",
+                      series=("dataset", "mode", "scheme"),
+                      base=("procs", 1)),
+            ),
+            true=("tree_matches_virtual",),
+            metrics=(
+                ("speedup", "higher"),
+                ("build_s", "lower"),
+                ("tree_matches_virtual", "bool"),
+            ),
+        ),
+    ),
+    summary_true=("all_trees_match",),
+    summary_metrics=(("all_trees_match", "bool"),),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(SUITE.main())

@@ -1,11 +1,13 @@
-"""Tolerance-banded trajectory gate over the committed benchmark baselines.
+"""Validity and tolerance-banded trajectory gate over the benchmark documents.
 
-:mod:`check_schemas` guarantees the committed ``BENCH_*.json`` documents
-are *well-formed*; this checker guards what they *say*.  It diffs a set
-of freshly produced benchmark documents against the committed baselines
-metric by metric, inside a tolerance band, so a change that silently
-halves a kernel speedup or breaks tree-identity fails the gate instead
-of merging as "benchmarks still validate".
+Each ``BENCH_<name>.json`` belongs to the ``SUITE`` declared in
+``benchmarks/bench_<name>.py`` (see :mod:`suite`), which is both its
+validator and its regression plan.  Every checked document must first
+pass its suite's validator (a document no suite owns fails); it is then
+diffed against the committed baseline metric by metric, inside a
+tolerance band, so a change that silently halves a kernel speedup or
+breaks tree-identity fails the gate instead of merging as "benchmarks
+still validate".
 
 Comparison rules per metric class:
 
@@ -30,12 +32,13 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/check_regression.py --current out/
     PYTHONPATH=src python benchmarks/check_regression.py --report-only
 
-With no ``--current``, the committed baselines are compared against
-themselves — a structural self-test that must always pass.  CI runs
-``--stable-only`` as a *blocking* gate: correctness flags (tree
-identity, oracle agreement) are host-independent and must hold even on
-shared runners, while timing/ratio metrics print without failing
-there.  Release machines drop the flag and gate the full band;
+With no ``--current``, every committed baseline is validated and
+compared against itself — the self-check CI runs as a blocking job,
+which fails on an invalid document, an unknown schema or a document no
+suite owns.  ``--stable-only`` gates only the host-independent
+correctness flags (tree identity, oracle agreement) for fresh documents
+from shared runners, where timing/ratio metrics print without failing;
+release machines drop the flag and gate the full band.
 ``--report-only`` remains for purely advisory runs.
 """
 
@@ -45,151 +48,10 @@ import json
 import os
 import sys
 
+import suite
+
 #: Allowed relative degradation before a metric fails the gate.
 DEFAULT_TOLERANCE = 0.25
-
-#: Per-schema gate plan.  ``rows``: how to iterate result rows (path into
-#: the document); ``key``: identity fields; ``metrics``: (field, kind)
-#: with kind one of ``higher``/``lower``/``bool``.  ``summary``: gated
-#: fields of the document-level summary.
-PLANS = {
-    "bench_kernels/1": {
-        "rows": [
-            {
-                "path": ("results",),
-                "key": ("kernel", "profile", "records", "leaves"),
-                "metrics": (("speedup", "higher"),),
-            },
-        ],
-        "summary": (),
-    },
-    "bench_wallclock/1": {
-        "rows": [
-            {
-                "path": ("results",),
-                "key": ("dataset", "mode", "scheme", "procs"),
-                "metrics": (
-                    ("speedup", "higher"),
-                    ("build_s", "lower"),
-                    ("tree_matches_virtual", "bool"),
-                ),
-            },
-        ],
-        "summary": (("all_trees_match", "bool"),),
-    },
-    "bench_predict/1": {
-        "rows": [
-            {
-                "path": ("results",),
-                "key": ("kind", "tree", "backend", "batch", "threads"),
-                "metrics": (("speedup_vs_oracle", "higher"),),
-            },
-        ],
-        "summary": (("all_outputs_match_oracle", "bool"),),
-    },
-    "bench_build_native/1": {
-        "rows": [
-            {
-                "path": ("results", "kernels"),
-                "key": ("kernel", "profile", "records", "leaves"),
-                "metrics": (("speedup", "higher"),),
-            },
-            {
-                "path": ("results", "builds"),
-                "key": ("dataset", "backend", "threads"),
-                "metrics": (
-                    ("build_s", "lower"),
-                    ("tree_matches", "bool"),
-                ),
-            },
-        ],
-        "summary": (("all_trees_match", "bool"),),
-    },
-    "bench_shard/1": {
-        "rows": [
-            {
-                "path": ("results",),
-                "key": ("dataset", "mode", "merge", "shards"),
-                "metrics": (
-                    ("speedup", "higher"),
-                    ("build_s", "lower"),
-                    # Protocol traffic is deterministic per config; more
-                    # bytes than baseline means the merge got chattier.
-                    ("bytes_total", "lower"),
-                    ("tree_matches_serial", "bool"),
-                ),
-            },
-        ],
-        "summary": (("all_exact_trees_match", "bool"),),
-    },
-    "bench_forest/1": {
-        "rows": [
-            {
-                "path": ("results",),
-                "key": ("kind", "n_trees", "backend", "batch"),
-                "metrics": (
-                    ("speedup_vs_oracle", "higher"),
-                    # The fused-walker headline: a regression here means
-                    # the multi-tree kernel lost its edge over routing
-                    # the member trees one at a time.
-                    ("speedup_vs_pertree", "higher"),
-                ),
-            },
-            {
-                "path": ("results",),
-                "key": ("kind", "dataset", "n_trees"),
-                "metrics": (
-                    # Held-out accuracy is deterministic per seed; drift
-                    # means training or voting changed behavior, not the
-                    # host.
-                    ("forest_accuracy", "higher"),
-                    ("single_tree_accuracy", "higher"),
-                ),
-            },
-        ],
-        "summary": (
-            ("all_outputs_match_oracle", "bool"),
-            ("fused_speedup_vs_pertree_at_32x64k", "higher"),
-        ),
-    },
-    "bench_native_threads/1": {
-        "rows": [
-            {
-                "path": ("results",),
-                "key": ("kernel", "rows", "threads"),
-                "metrics": (
-                    # Rows are the two pool-served families, single-tree
-                    # route and fused forest vote.  Identity is the
-                    # pool's contract and holds on any host; the
-                    # lane-scaling ratio is banded like any ratio.
-                    ("bit_identical", "bool"),
-                    ("speedup_vs_1", "higher"),
-                ),
-            },
-        ],
-        "summary": (("all_bit_identical", "bool"),),
-    },
-    "bench_serve/1": {
-        "rows": [
-            {
-                "path": ("results",),
-                "key": ("mode", "workers", "clients", "rate"),
-                "metrics": (
-                    ("throughput_rps", "higher"),
-                    ("p99_s", "lower"),
-                    # A swap run that drops requests is a correctness
-                    # failure, not a slow day on the runner.
-                    ("zero_lost", "bool"),
-                    ("accounting_ok", "bool"),
-                ),
-            },
-        ],
-        "summary": (
-            ("zero_lost_swap", "bool"),
-            ("all_accounted", "bool"),
-        ),
-    },
-}
 
 #: Metric kinds gated under ``--stable-only`` (shared-runner CI): only
 #: host-independent correctness flags; timing/ratio metrics move with
@@ -219,19 +81,11 @@ class Verdict:
         return f"  {mark}  {self.where} {self.metric}: {detail}{suffix}"
 
 
-def _rows_at(doc, path):
-    node = doc
-    for part in path:
-        node = node.get(part, {}) if isinstance(node, dict) else {}
-    return node if isinstance(node, list) else []
-
-
-def _index(rows, key_fields):
-    index = {}
-    for row in rows:
-        key = tuple(row.get(f) for f in key_fields)
-        index[key] = row
-    return index
+def _index(table, doc):
+    return {
+        tuple(row.get(f) for f in table.key): row
+        for _, row in table.rows(doc)
+    }
 
 
 def _compare(kind, baseline, current, tolerance):
@@ -255,8 +109,10 @@ def _compare(kind, baseline, current, tolerance):
     raise ValueError(f"unknown metric kind {kind!r}")
 
 
-def check_doc(name, baseline_doc, current_doc, tolerance, stable_only=False):
-    """Compare one benchmark document pair; returns (verdicts, notes).
+def check_doc(owner, name, baseline_doc, current_doc, tolerance,
+              stable_only=False):
+    """Compare one benchmark document pair under ``owner``'s regression
+    plan; returns (verdicts, notes).
 
     With ``stable_only`` only the host-independent metric kinds in
     :data:`STABLE_KINDS` are gated — correctness flags must hold even
@@ -268,16 +124,15 @@ def check_doc(name, baseline_doc, current_doc, tolerance, stable_only=False):
             f"{name}: schema mismatch — baseline {schema!r}, "
             f"current {current_doc.get('schema')!r}"
         )
-    plan = PLANS.get(schema)
-    if plan is None:
-        raise ValueError(f"{name}: no regression plan for schema {schema!r}")
     verdicts, notes = [], []
-    for spec in plan["rows"]:
-        base = _index(_rows_at(baseline_doc, spec["path"]), spec["key"])
-        cur = _index(_rows_at(current_doc, spec["path"]), spec["key"])
+    for spec in owner.tables:
+        if not spec.metrics:
+            continue
+        base = _index(spec, baseline_doc)
+        cur = _index(spec, current_doc)
         only_base = sorted(set(base) - set(cur), key=repr)
         only_cur = sorted(set(cur) - set(base), key=repr)
-        table = "/".join(spec["path"])
+        table = spec.name
         if only_base:
             notes.append(
                 f"  note  {name} {table}: {len(only_base)} baseline row(s) "
@@ -290,7 +145,7 @@ def check_doc(name, baseline_doc, current_doc, tolerance, stable_only=False):
             )
         for key in sorted(set(base) & set(cur), key=repr):
             where = f"{table}{list(key)}"
-            for metric, kind in spec["metrics"]:
+            for metric, kind in spec.metrics:
                 if metric not in base[key] or metric not in cur[key]:
                     continue
                 # Null metrics mean "not measured on this host" (e.g.
@@ -309,7 +164,7 @@ def check_doc(name, baseline_doc, current_doc, tolerance, stable_only=False):
                 )
     base_summary = baseline_doc.get("summary", {})
     cur_summary = current_doc.get("summary", {})
-    for metric, kind in plan["summary"]:
+    for metric, kind in owner.summary_metrics:
         if metric not in base_summary or metric not in cur_summary:
             continue
         if base_summary[metric] is None or cur_summary[metric] is None:
@@ -384,13 +239,27 @@ def main(argv=None):
         return 2
     checked = failures = 0
     for name in sorted(current_docs):
+        try:
+            current = _load(current_docs[name])
+            owner = suite.for_document(name)
+        except (ValueError, OSError, json.JSONDecodeError) as exc:
+            print(f"  FAIL  {name}: {exc}")
+            failures += 1
+            continue
+        try:
+            owner.validate(current)
+        except ValueError as exc:
+            # Still compared below, so a failed gate also shows which
+            # metrics moved.
+            print(f"  FAIL  {name}: invalid document: {exc}")
+            failures += 1
         baseline_path = os.path.join(args.baseline_dir, name)
         if not os.path.exists(baseline_path):
-            print(f"  note  {name}: no committed baseline (skipped)")
+            print(f"  note  {name}: no committed baseline (not compared)")
             continue
         try:
             verdicts, notes = check_doc(
-                name, _load(baseline_path), _load(current_docs[name]),
+                owner, name, _load(baseline_path), current,
                 args.tolerance, stable_only=args.stable_only,
             )
         except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -96,18 +96,28 @@ def _quota_cap() -> Optional[int]:
     return _quota_cache or None
 
 
-def available_cpus() -> int:
-    """CPUs this process should size pools for (always >= 1).
+def usable_cpus() -> int:
+    """CPUs the scheduler really gives this process (always >= 1).
 
-    ``REPRO_NATIVE_THREADS`` (positive integer) overrides everything;
-    otherwise the affinity mask, capped by the cgroup cpu quota when one
-    is present.
+    The affinity mask, capped by the cgroup cpu quota when one is
+    present; ``REPRO_NATIVE_THREADS`` is ignored.  Anything that judges
+    the hardware (e.g. whether a benchmark's scaling gate is attainable)
+    reads this, not :func:`available_cpus`.
     """
-    override = env_thread_override()
-    if override is not None:
-        return override
     cpus = _affinity_cpus()
     quota = _quota_cap()
     if quota is not None:
         cpus = min(cpus, quota)
     return max(1, cpus)
+
+
+def available_cpus() -> int:
+    """CPUs this process should size pools for (always >= 1).
+
+    ``REPRO_NATIVE_THREADS`` (positive integer) overrides everything;
+    otherwise :func:`usable_cpus`.
+    """
+    override = env_thread_override()
+    if override is not None:
+        return override
+    return usable_cpus()

@@ -13,6 +13,7 @@ BENCH_DIR = os.path.join(
 )
 sys.path.insert(0, BENCH_DIR)
 import check_regression  # noqa: E402
+import suite  # noqa: E402
 
 sys.path.pop(0)
 
@@ -28,6 +29,12 @@ def run(argv):
     return check_regression.main(argv)
 
 
+def scale_speedup(row, factor):
+    """Scale a kernels row's speedup, keeping it consistent with timings."""
+    row["after_s"] /= factor
+    row["speedup"] = row["before_s"] / row["after_s"]
+
+
 class TestSelfCheck:
     def test_committed_baselines_pass(self, capsys):
         assert run([]) == 0
@@ -40,15 +47,32 @@ class TestSelfCheck:
         ):
             assert name in out
 
-    def test_every_committed_schema_has_a_plan(self):
+    def test_every_committed_doc_maps_to_one_suite(self):
         import glob
 
-        for path in glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json")):
-            schema = json.load(open(path)).get("schema")
-            assert schema in check_regression.PLANS, (
-                f"{os.path.basename(path)} declares {schema!r} with no "
-                "regression plan — add one to check_regression.PLANS"
+        owners = {}
+        for path in glob.glob(os.path.join(BENCH_DIR, "bench_*.py")):
+            with open(path) as handle:
+                if "\nSUITE = Suite(" not in handle.read():
+                    continue
+            name = os.path.basename(path)[len("bench_"):-len(".py")]
+            owner = suite.for_document(f"BENCH_{name}.json")
+            owners.setdefault(owner.schema, []).append(name)
+        docs = glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
+        assert docs
+        for path in docs:
+            name = os.path.basename(path)
+            schema = baseline(name).get("schema")
+            assert owners.get(schema) == [suite.for_document(name).name], (
+                f"{name} declares {schema!r}, owned by {owners.get(schema)}"
             )
+
+    def test_orphaned_document_fails(self, tmp_path, capsys):
+        (tmp_path / "BENCH_nosuch.json").write_text(
+            json.dumps(baseline("BENCH_kernels.json"))
+        )
+        assert run(["--current", str(tmp_path)]) == 1
+        assert "orphaned" in capsys.readouterr().out
 
 
 class TestDegradations:
@@ -62,9 +86,7 @@ class TestDegradations:
     def test_halved_speedup_fails(self, tmp_path, capsys):
         current = self.degrade(
             tmp_path, "BENCH_kernels.json",
-            lambda d: d["results"].__getitem__(0).update(
-                speedup=d["results"][0]["speedup"] * 0.5
-            ),
+            lambda d: scale_speedup(d["results"][0], 0.5),
         )
         assert run(["--current", current]) == 1
         out = capsys.readouterr().out
@@ -73,21 +95,27 @@ class TestDegradations:
     def test_small_wobble_passes(self, tmp_path):
         def mutate(doc):
             for row in doc["results"]:
-                row["speedup"] *= 0.9  # inside the 25% band
+                scale_speedup(row, 0.9)  # inside the 25% band
 
         current = self.degrade(tmp_path, "BENCH_kernels.json", mutate)
         assert run(["--current", current]) == 0
 
     def test_tolerance_flag_tightens_the_band(self, tmp_path):
         def mutate(doc):
-            doc["results"][0]["speedup"] *= 0.9
+            scale_speedup(doc["results"][0], 0.9)
 
         current = self.degrade(tmp_path, "BENCH_kernels.json", mutate)
+        assert run(["--current", current]) == 0
         assert run(["--current", current, "--tolerance", "0.05"]) == 1
 
     def test_slower_build_fails(self, tmp_path):
         def mutate(doc):
-            doc["results"][0]["build_s"] *= 2.0
+            # Every build of one series: its speedups stay consistent.
+            first = doc["results"][0]
+            for row in doc["results"]:
+                if all(row[k] == first[k]
+                       for k in ("dataset", "mode", "scheme")):
+                    row["build_s"] *= 2.0
 
         current = self.degrade(tmp_path, "BENCH_wallclock.json", mutate)
         assert run(["--current", current]) == 1
@@ -126,9 +154,11 @@ class TestDegradations:
 
     def test_stable_only_ignores_timing_regressions(self, tmp_path):
         def mutate(doc):
+            # 100x slower multi-shard builds, speedups consistent.
             for row in doc["results"]:
-                row["speedup"] = 0.01
-                row["build_s"] *= 100
+                if row["shards"] > 1:
+                    row["build_s"] *= 100
+                    row["speedup"] /= 100
 
         current = self.degrade(tmp_path, "BENCH_shard.json", mutate)
         assert run(["--current", current, "--stable-only"]) == 0
@@ -169,11 +199,23 @@ class TestDegradations:
 
     def test_single_file_current(self, tmp_path):
         def mutate(doc):
-            doc["results"][0]["speedup"] *= 0.5
+            scale_speedup(doc["results"][0], 0.5)
 
         current = self.degrade(tmp_path, "BENCH_kernels.json", mutate)
         path = os.path.join(current, "BENCH_kernels.json")
         assert run(["--current", path]) == 1
+
+    def test_invalid_document_fails_even_without_regression(
+        self, tmp_path, capsys
+    ):
+        def mutate(doc):
+            # A better, but inconsistent, speedup: no metric regressed.
+            doc["results"][0]["speedup"] *= 1.1
+
+        current = self.degrade(tmp_path, "BENCH_kernels.json", mutate)
+        assert run(["--current", current]) == 1
+        out = capsys.readouterr().out
+        assert "invalid document" in out and "0 regression(s)" in out
 
 
 class TestCompare:

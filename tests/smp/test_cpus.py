@@ -6,10 +6,12 @@ import os
 
 import pytest
 
+from repro.smp import cpus
 from repro.smp.cpus import (
     available_cpus,
     cgroup_quota_cpus,
     env_thread_override,
+    usable_cpus,
 )
 from repro.smp.threads import RealThreadRuntime
 
@@ -39,6 +41,17 @@ class TestAvailableCpus:
         monkeypatch.setenv("REPRO_NATIVE_THREADS", raw)
         assert env_thread_override() is None
         assert available_cpus() >= 1
+
+    def test_override_sizes_pools_but_not_usable_cpus(self, monkeypatch):
+        # A 2-CPU affinity mask with the operator asking for 4 lanes:
+        # pools oversubscribe on purpose, the hardware count stays 2.
+        monkeypatch.setenv("REPRO_NATIVE_THREADS", "4")
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        monkeypatch.setattr(cpus, "_quota_cap", lambda: None)
+        assert available_cpus() == 4
+        assert usable_cpus() == 2
 
     def test_env_thread_override_parses(self):
         assert env_thread_override({"REPRO_NATIVE_THREADS": "4"}) == 4
